@@ -25,11 +25,12 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the host-parallelism benchmarks (Prepare and engine.Run with
-# Workers=1 vs all CPUs). Speedup requires a multi-core host. BENCHTIME=1x
-# gives the quick smoke pass CI uses.
+# Workers=1 vs all CPUs; speedup requires a multi-core host) and the timing
+# simulator's hot-loop benchmark (BenchmarkRunPhase, which fails if a warm
+# phase allocates). BENCHTIME=1x gives the quick smoke pass CI uses.
 BENCHTIME ?= 3x
 bench:
-	$(GO) test ./internal/engine/ -run xxx -bench 'Workers' -benchtime $(BENCHTIME)
+	$(GO) test ./internal/engine/ ./internal/sim/system/ -run xxx -bench 'Workers|RunPhase' -benchtime $(BENCHTIME)
 
 # bench-smoke is the CI perf trace: one quick benchmark pass plus a scaled-
 # down bench session whose per-run timelines land in bench-metrics.json

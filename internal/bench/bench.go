@@ -234,6 +234,14 @@ func (s *Session) Run(rs RunSpec) *engine.Result {
 	s.mu.Unlock()
 
 	res, err, _ := s.inflight.Do(context.Background(), key, func(ctx context.Context) (*engine.Result, error) {
+		// Re-check: a caller that missed the cache just before an earlier
+		// flight for key published and ended starts a new flight here.
+		s.mu.Lock()
+		r, ok := s.runs[key]
+		s.mu.Unlock()
+		if ok {
+			return r, nil
+		}
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
 
@@ -298,6 +306,13 @@ func (s *Session) RunSharded(rs RunSpec) *shard.Result {
 	s.mu.Unlock()
 
 	res, err, _ := s.shardInflight.Do(context.Background(), key, func(ctx context.Context) (*shard.Result, error) {
+		// Re-check, as in Run.
+		s.mu.Lock()
+		r, ok := s.shardRuns[key]
+		s.mu.Unlock()
+		if ok {
+			return r, nil
+		}
 		s.sem <- struct{}{}
 		defer func() { <-s.sem }()
 

@@ -36,8 +36,16 @@ func TestDoCoalesces(t *testing.T) {
 			vals[i], shareds[i] = v, shared
 		}(i)
 	}
-	// Wait until the call is registered, then release it.
-	for g.Inflight() == 0 {
+	// Wait until every caller has joined the call, then release it. (Waiting
+	// only for the call to register let a late caller start a second
+	// execution after the first had finished.)
+	joined := func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		c := g.calls["k"]
+		return c != nil && c.waiters == callers
+	}
+	for !joined() {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

@@ -1,6 +1,8 @@
 // Package cache implements the set-associative caches of the simulated
-// memory hierarchy (Table I): per-core L1D and L2, and a shared, banked,
-// inclusive L3 with an in-cache directory. Lines are 64 bytes with LRU
+// memory hierarchy (Table I): per-core L1D and L2, and the banks of the
+// shared L3. Coherence metadata is not kept here: the directory is a
+// standalone structure beside the L3 banks (internal/sim/system, DESIGN.md
+// §8.3), so the L3 is non-inclusive. Lines are 64 bytes with LRU
 // replacement and MESI states. Each line carries the trace.Array tag of the
 // data it holds so off-chip traffic can be attributed per array (Figure 15),
 // and lines holding read-only arrays (the OAG and CSR structure) are never
@@ -57,28 +59,26 @@ func (c Config) Sets() uint32 {
 
 // Victim describes a line displaced by a fill.
 type Victim struct {
-	Line    uint64
-	Arr     trace.Array
-	Dirty   bool
-	Sharers uint64
-	Owner   int16
-	Valid   bool
+	Line  uint64
+	Arr   trace.Array
+	Dirty bool
+	Valid bool
 }
 
 // Cache is one set-associative cache.
 type Cache struct {
 	cfg  Config
 	sets uint32
+	// pow2 reports a power-of-two set count, whose set index is a mask;
+	// other counts (WithLLCBytes sweeps can produce them) take the modulo.
+	pow2 bool
 
+	// tags holds noLine in every Invalid way, so a probe scans the tags
+	// alone.
 	tags  []uint64
 	state []State
 	arr   []trace.Array
 	lru   []uint64
-
-	// Directory metadata (L3 banks only): which cores' private caches
-	// hold the line, and which (if any) may hold it dirty.
-	sharers []uint64
-	owner   []int16
 
 	tick uint64
 
@@ -86,8 +86,11 @@ type Cache struct {
 	Hits, Misses uint64
 }
 
-// New builds a cache; directory enables per-line sharer tracking (L3 banks).
-func New(cfg Config, directory bool) *Cache {
+// noLine is the tag of an Invalid way; no line address reaches it.
+const noLine = ^uint64(0)
+
+// New builds a cache.
+func New(cfg Config) *Cache {
 	sets := cfg.Sets()
 	n := sets * cfg.Ways
 	c := &Cache{
@@ -97,11 +100,9 @@ func New(cfg Config, directory bool) *Cache {
 		state: make([]State, n),
 		arr:   make([]trace.Array, n),
 		lru:   make([]uint64, n),
+		pow2:  sets&(sets-1) == 0,
 	}
-	if directory {
-		c.sharers = make([]uint64, n)
-		c.owner = make([]int16, n)
-	}
+	c.Reset()
 	return c
 }
 
@@ -111,14 +112,10 @@ func New(cfg Config, directory bool) *Cache {
 // one.
 func (c *Cache) Reset() {
 	for i := range c.tags {
-		c.tags[i] = 0
+		c.tags[i] = noLine
 		c.state[i] = Invalid
 		c.arr[i] = 0
 		c.lru[i] = 0
-	}
-	for i := range c.sharers {
-		c.sharers[i] = 0
-		c.owner[i] = 0
 	}
 	c.tick = 0
 	c.Hits, c.Misses = 0, 0
@@ -130,35 +127,48 @@ func (c *Cache) Latency() uint64 { return c.cfg.Latency }
 // SizeBytes returns the configured capacity.
 func (c *Cache) SizeBytes() uint64 { return c.cfg.SizeBytes }
 
-func (c *Cache) setOf(line uint64) uint32 {
+// base returns the index of the first way of line's set.
+func (c *Cache) base(line uint64) int {
 	if c.cfg.Hashed {
-		return uint32((line * 0x9E3779B97F4A7C15 >> 40) % uint64(c.sets))
+		line = line * 0x9E3779B97F4A7C15 >> 40
 	}
-	return uint32(line % uint64(c.sets))
+	if c.pow2 {
+		line &= uint64(c.sets - 1)
+	} else {
+		line %= uint64(c.sets)
+	}
+	return int(line) * int(c.cfg.Ways)
 }
 
 // find returns the way index of line within its set, or -1.
-func (c *Cache) find(line uint64) int {
-	set := c.setOf(line)
-	base := set * c.cfg.Ways
-	for w := base; w < base+c.cfg.Ways; w++ {
-		if c.state[w] != Invalid && c.tags[w] == line {
-			return int(w)
+func (c *Cache) find(line uint64) int { return c.wayIn(c.base(line), line) }
+
+// wayIn returns the way index of line within the set starting at base, or
+// -1.
+func (c *Cache) wayIn(base int, line uint64) int {
+	for w, t := range c.tags[base : base+int(c.cfg.Ways)] {
+		if t == line {
+			return base + w
 		}
 	}
 	return -1
 }
 
 // Lookup probes for line, updating LRU and hit/miss counters.
-func (c *Cache) Lookup(line uint64) bool {
+func (c *Cache) Lookup(line uint64) bool { return c.LookupWay(line) >= 0 }
+
+// LookupWay is Lookup returning the hit way (for StateAt/SetStateAt), or
+// -1 on a miss. The way stays valid until the next Fill or Invalidate of
+// this cache.
+func (c *Cache) LookupWay(line uint64) int {
 	if w := c.find(line); w >= 0 {
 		c.tick++
 		c.lru[w] = c.tick
 		c.Hits++
-		return true
+		return w
 	}
 	c.Misses++
-	return false
+	return -1
 }
 
 // Contains probes for line without updating statistics or LRU.
@@ -177,11 +187,19 @@ func (c *Cache) State(line uint64) State {
 // clamped to clean states.
 func (c *Cache) SetState(line uint64, st State) {
 	if w := c.find(line); w >= 0 {
-		if st == Modified && c.arr[w].ReadOnly() {
-			st = Exclusive
-		}
-		c.state[w] = st
+		c.SetStateAt(w, st)
 	}
+}
+
+// StateAt returns the state of way w, as returned by LookupWay.
+func (c *Cache) StateAt(w int) State { return c.state[w] }
+
+// SetStateAt is SetState on way w, as returned by LookupWay.
+func (c *Cache) SetStateAt(w int, st State) {
+	if st == Modified && c.arr[w].ReadOnly() {
+		st = Exclusive
+	}
+	c.state[w] = st
 }
 
 // Fill installs line (tagged arr, with state st), evicting the LRU way if
@@ -190,7 +208,8 @@ func (c *Cache) Fill(line uint64, arr trace.Array, st State) Victim {
 	if st == Modified && arr.ReadOnly() {
 		st = Exclusive
 	}
-	if w := c.find(line); w >= 0 {
+	base := c.base(line)
+	if w := c.wayIn(base, line); w >= 0 {
 		if st > c.state[w] {
 			c.state[w] = st
 		}
@@ -199,39 +218,31 @@ func (c *Cache) Fill(line uint64, arr trace.Array, st State) Victim {
 		c.lru[w] = c.tick
 		return Victim{}
 	}
-	set := c.setOf(line)
-	base := set * c.cfg.Ways
-	victim := base
-	for w := base; w < base+c.cfg.Ways; w++ {
-		if c.state[w] == Invalid {
-			victim = w
+	state := c.state[base : base+int(c.cfg.Ways)]
+	lru := c.lru[base : base+len(state)]
+	v := 0
+	for w, s := range state {
+		if s == Invalid {
+			v = w
 			break
 		}
-		if c.lru[w] < c.lru[victim] {
-			victim = w
+		if lru[w] < lru[v] {
+			v = w
 		}
 	}
+	victim := base + v
 	var ev Victim
 	if c.state[victim] != Invalid {
 		ev = Victim{
 			Line:  c.tags[victim],
 			Arr:   c.arr[victim],
 			Dirty: c.state[victim] == Modified,
-			Owner: -1,
 			Valid: true,
-		}
-		if c.sharers != nil {
-			ev.Sharers = c.sharers[int(victim)]
-			ev.Owner = c.owner[int(victim)]
 		}
 	}
 	c.tags[victim] = line
 	c.arr[victim] = arr
 	c.state[victim] = st
-	if c.sharers != nil {
-		c.sharers[victim] = 0
-		c.owner[victim] = -1
-	}
 	c.tick++
 	c.lru[victim] = c.tick
 	return ev
@@ -245,51 +256,9 @@ func (c *Cache) Invalidate(line uint64) (present, dirty bool) {
 		return false, false
 	}
 	dirty = c.state[w] == Modified
+	c.tags[w] = noLine
 	c.state[w] = Invalid
-	if c.sharers != nil {
-		c.sharers[w] = 0
-		c.owner[w] = -1
-	}
 	return true, dirty
-}
-
-// Sharers returns the directory sharer mask of line (L3 banks only).
-func (c *Cache) Sharers(line uint64) uint64 {
-	w := c.find(line)
-	if w < 0 || c.sharers == nil {
-		return 0
-	}
-	return c.sharers[w]
-}
-
-// SetSharers replaces the sharer mask of line; no-op if absent.
-func (c *Cache) SetSharers(line uint64, mask uint64) {
-	if w := c.find(line); w >= 0 && c.sharers != nil {
-		c.sharers[w] = mask
-	}
-}
-
-// AddSharer sets bit core in line's sharer mask.
-func (c *Cache) AddSharer(line uint64, core int) {
-	if w := c.find(line); w >= 0 && c.sharers != nil {
-		c.sharers[w] |= 1 << uint(core)
-	}
-}
-
-// Owner returns the core that may hold line dirty, or -1.
-func (c *Cache) Owner(line uint64) int {
-	w := c.find(line)
-	if w < 0 || c.owner == nil {
-		return -1
-	}
-	return int(c.owner[w])
-}
-
-// SetOwner records the core that may hold line dirty (-1 for none).
-func (c *Cache) SetOwner(line uint64, core int) {
-	if w := c.find(line); w >= 0 && c.owner != nil {
-		c.owner[w] = int16(core)
-	}
 }
 
 // Accesses returns total lookups.

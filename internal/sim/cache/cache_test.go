@@ -8,7 +8,7 @@ import (
 
 func tiny() *Cache {
 	// 2 sets x 2 ways.
-	return New(Config{SizeBytes: 4 * LineBytes, Ways: 2, Latency: 3}, false)
+	return New(Config{SizeBytes: 4 * LineBytes, Ways: 2, Latency: 3})
 }
 
 func TestHitMiss(t *testing.T) {
@@ -99,26 +99,51 @@ func TestFillExistingUpgrades(t *testing.T) {
 	}
 }
 
-func TestDirectory(t *testing.T) {
-	c := New(Config{SizeBytes: 4 * LineBytes, Ways: 2, Latency: 24, Hashed: true}, true)
-	c.Fill(7, trace.VertexValue, Exclusive)
-	c.AddSharer(7, 3)
-	c.AddSharer(7, 9)
-	if c.Sharers(7) != (1<<3 | 1<<9) {
-		t.Fatalf("sharers = %b", c.Sharers(7))
+func TestLookupWay(t *testing.T) {
+	c := tiny()
+	if w := c.LookupWay(5); w >= 0 {
+		t.Fatalf("LookupWay in empty cache = %d", w)
 	}
-	c.SetOwner(7, 3)
-	if c.Owner(7) != 3 {
-		t.Fatalf("owner = %d", c.Owner(7))
+	c.Fill(5, trace.VertexValue, Shared)
+	w := c.LookupWay(5)
+	if w < 0 {
+		t.Fatal("LookupWay missed a filled line")
 	}
-	c.SetSharers(7, 0)
-	if c.Sharers(7) != 0 {
-		t.Fatal("sharers not cleared")
+	if c.StateAt(w) != Shared {
+		t.Fatalf("StateAt = %v, want Shared", c.StateAt(w))
+	}
+	c.SetStateAt(w, Modified)
+	if c.State(5) != Modified {
+		t.Fatal("SetStateAt did not reach the line")
+	}
+	if c.Hits != 1 || c.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d", c.Hits, c.Misses)
+	}
+	// Read-only lines are clamped through the way path too.
+	c.Fill(7, trace.OAGEdge, Exclusive)
+	w = c.LookupWay(7)
+	c.SetStateAt(w, Modified)
+	if c.StateAt(w) != Exclusive {
+		t.Fatal("SetStateAt must clamp read-only lines")
+	}
+}
+
+func TestNonPowerOfTwoSets(t *testing.T) {
+	// 3 sets x 2 ways: lines 0, 3, 6 share set 0 under the exact modulo.
+	c := New(Config{SizeBytes: 6 * LineBytes, Ways: 2, Latency: 1})
+	c.Fill(0, trace.VertexValue, Exclusive)
+	c.Fill(1, trace.VertexValue, Exclusive)
+	c.Fill(3, trace.VertexValue, Exclusive)
+	if v := c.Fill(6, trace.VertexValue, Exclusive); !v.Valid || v.Line != 0 {
+		t.Fatalf("victim = %+v, want line 0 from set 0", v)
+	}
+	if !c.Contains(1) {
+		t.Fatal("line 1 (set 1) was evicted by a set-0 fill")
 	}
 }
 
 func TestConservation(t *testing.T) {
-	c := New(Config{SizeBytes: 32 * LineBytes, Ways: 4, Latency: 3}, false)
+	c := New(Config{SizeBytes: 32 * LineBytes, Ways: 4, Latency: 3})
 	var accesses uint64
 	for i := uint64(0); i < 1000; i++ {
 		line := (i * 37) % 200

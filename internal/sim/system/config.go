@@ -1,7 +1,8 @@
 // Package system assembles the simulated multicore of Table I — per-core
-// L1D/L2, shared banked inclusive L3 with a MESI directory, 4x4 mesh NoC and
-// DDR4 memory controllers — and replays per-agent operation streams against
-// it with a min-clock discrete-event scheduler. ChGraph's three per-core
+// L1D/L2, a shared banked L3 with a standalone MESI directory beside it (the
+// L3 is non-inclusive; see Hierarchy), 4x4 mesh NoC and DDR4 memory
+// controllers — and replays per-agent operation streams against it with a
+// min-clock discrete-event scheduler. ChGraph's three per-core
 // agents (hardware chain generator, chain-driven prefetcher, core) are
 // coupled through bounded FIFOs, reproducing the run-ahead/latency-hiding
 // behaviour of §V.

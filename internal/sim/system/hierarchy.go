@@ -22,13 +22,6 @@ const (
 	DepthMem
 )
 
-// dirEntry is one directory record: which cores' private caches hold the
-// line, and which (if any) may hold it dirty.
-type dirEntry struct {
-	sharers uint64
-	owner   int16
-}
-
 // Hierarchy is the full memory system: private L1/L2 per core, a shared
 // banked L3, a directory co-located with the L3 banks, mesh NoC, and DRAM
 // controllers.
@@ -47,18 +40,9 @@ type Hierarchy struct {
 	l1   []*cache.Cache
 	l2   []*cache.Cache
 	l3   []*cache.Cache
-	dir  map[uint64]*dirEntry
+	dir  directory
 	mesh *noc.Mesh
 	mem  *mem.Memory
-
-	// slab and free back the directory's entry storage: entries are carved
-	// from fixed-capacity chunks (a full chunk is abandoned to the entries
-	// that still point into it and a fresh one started, so pointers never
-	// move) and recycled through the free list when the directory drops
-	// them. Steady-state simulation allocates one chunk per ~thousand
-	// distinct lines instead of one object per line.
-	slab []dirEntry
-	free []*dirEntry
 
 	// InvalidationsSent counts coherence invalidations delivered to
 	// private caches; PeerTransfers counts cache-to-cache data transfers.
@@ -70,16 +54,16 @@ type Hierarchy struct {
 func NewHierarchy(cfg Config) *Hierarchy {
 	h := &Hierarchy{
 		cfg:  cfg,
-		dir:  make(map[uint64]*dirEntry),
 		mesh: noc.New(cfg.Mesh),
 		mem:  mem.New(cfg.Mem),
 	}
+	h.dir.resize(dirInitialSlots)
 	for c := 0; c < cfg.Cores; c++ {
-		h.l1 = append(h.l1, cache.New(cfg.L1, false))
-		h.l2 = append(h.l2, cache.New(cfg.L2, false))
+		h.l1 = append(h.l1, cache.New(cfg.L1))
+		h.l2 = append(h.l2, cache.New(cfg.L2))
 	}
 	for b := 0; b < cfg.L3Banks; b++ {
-		h.l3 = append(h.l3, cache.New(cfg.L3Bank, false))
+		h.l3 = append(h.l3, cache.New(cfg.L3Bank))
 	}
 	return h
 }
@@ -108,38 +92,16 @@ func (h *Hierarchy) bankOf(line uint64) int {
 	return int((line * 0x9E3779B97F4A7C15 >> 17) % uint64(len(h.l3)))
 }
 
-const dirSlabSize = 1024
-
-func (h *Hierarchy) entry(line uint64) *dirEntry {
-	e := h.dir[line]
-	if e == nil {
-		if n := len(h.free); n > 0 {
-			e = h.free[n-1]
-			h.free = h.free[:n-1]
-			*e = dirEntry{owner: -1}
-		} else {
-			if len(h.slab) == cap(h.slab) {
-				h.slab = make([]dirEntry, 0, dirSlabSize)
-			}
-			h.slab = append(h.slab, dirEntry{owner: -1})
-			e = &h.slab[len(h.slab)-1]
-		}
-		h.dir[line] = e
-	}
-	return e
-}
-
 // maybeDrop garbage-collects directory entries nothing references.
 func (h *Hierarchy) maybeDrop(line uint64, e *dirEntry) {
 	if e.sharers == 0 && e.owner < 0 && !h.l3[h.bankOf(line)].Contains(line) {
-		delete(h.dir, line)
-		h.free = append(h.free, e)
+		h.dir.remove(line)
 	}
 }
 
 // Reset returns the hierarchy to its post-New state without reallocating:
 // caches emptied, the directory cleared (entries recycled through the free
-// list, map buckets kept), DRAM queues and every counter zeroed. A reset
+// list, table kept), DRAM queues and every counter zeroed. A reset
 // hierarchy replays any op sequence bit-identically to a freshly built one.
 func (h *Hierarchy) Reset() {
 	for _, c := range h.l1 {
@@ -151,10 +113,7 @@ func (h *Hierarchy) Reset() {
 	for _, c := range h.l3 {
 		c.Reset()
 	}
-	for line, e := range h.dir {
-		delete(h.dir, line)
-		h.free = append(h.free, e)
-	}
+	h.dir.reset()
 	h.mem.Reset()
 	h.InvalidationsSent, h.PeerTransfers = 0, 0
 }
@@ -176,7 +135,7 @@ func (h *Hierarchy) l3Install(line uint64, arr trace.Array, st cache.State, now 
 		if v.Dirty {
 			h.mem.Access(v.Line, v.Arr, true, now)
 		}
-		if e, ok := h.dir[v.Line]; ok {
+		if e := h.dir.get(v.Line); e != nil {
 			h.maybeDrop(v.Line, e)
 		}
 	}
@@ -192,7 +151,7 @@ func (h *Hierarchy) l2Fill(core int, line uint64, arr trace.Array, st cache.Stat
 	}
 	_, l1Dirty := h.l1[core].Invalidate(v.Line)
 	dirty := v.Dirty || l1Dirty
-	if e, ok := h.dir[v.Line]; ok {
+	if e := h.dir.get(v.Line); e != nil {
 		e.sharers &^= 1 << uint(core)
 		if int(e.owner) == core {
 			e.owner = -1
@@ -224,7 +183,7 @@ func (h *Hierarchy) l1Fill(core int, line uint64, arr trace.Array, st cache.Stat
 			h.l2[core].SetState(v.Line, cache.Modified)
 		} else {
 			h.l3Install(v.Line, v.Arr, cache.Modified, now)
-			if e, ok := h.dir[v.Line]; ok {
+			if e := h.dir.get(v.Line); e != nil {
 				e.sharers &^= 1 << uint(core)
 				if int(e.owner) == core {
 					e.owner = -1
@@ -239,42 +198,42 @@ func (h *Hierarchy) l1Fill(core int, line uint64, arr trace.Array, st cache.Stat
 // access in at the L2 (ChGraph/HATS engines sit beside the L1, §V-A).
 func (h *Hierarchy) Access(core int, addr uint64, arr trace.Array, write, engine bool, now uint64) (uint64, Depth) {
 	line := addr / cache.LineBytes
-	coreTile := h.mesh.CoreTile(core)
+	l1, l2 := h.l1[core], h.l2[core]
 	lat := uint64(0)
 
-	// L1.
+	// L1. A hit way stays valid across upgrade, which only invalidates
+	// other cores' private copies.
 	if !engine {
-		lat += h.l1[core].Latency()
-		if h.l1[core].Lookup(line) {
+		lat += l1.Latency()
+		if w := l1.LookupWay(line); w >= 0 {
 			if !write {
 				return now + lat, DepthL1
 			}
-			st := h.l1[core].State(line)
-			if st == cache.Shared && !arr.ReadOnly() {
+			if l1.StateAt(w) == cache.Shared && !arr.ReadOnly() {
 				lat += h.upgrade(core, line, now+lat)
 			}
-			h.l1[core].SetState(line, cache.Modified)
-			h.l2[core].SetState(line, cache.Modified)
+			l1.SetStateAt(w, cache.Modified)
+			l2.SetState(line, cache.Modified)
 			return now + lat, DepthL1
 		}
 	} else if write {
 		// Engine-level writes must not leave a stale copy in the core's
 		// L1 (the engine and its core share data via the L2).
-		if _, d := h.l1[core].Invalidate(line); d {
-			h.l2[core].SetState(line, cache.Modified)
+		if _, d := l1.Invalidate(line); d {
+			l2.SetState(line, cache.Modified)
 		}
 	}
 
 	// L2.
-	lat += h.l2[core].Latency()
-	if h.l2[core].Lookup(line) {
-		st := h.l2[core].State(line)
+	lat += l2.Latency()
+	if w := l2.LookupWay(line); w >= 0 {
+		st := l2.StateAt(w)
 		if write {
 			if st == cache.Shared && !arr.ReadOnly() {
 				lat += h.upgrade(core, line, now+lat)
 			}
 			st = cache.Modified
-			h.l2[core].SetState(line, st)
+			l2.SetStateAt(w, st)
 		}
 		if !engine {
 			h.l1Fill(core, line, arr, st, now+lat)
@@ -286,8 +245,8 @@ func (h *Hierarchy) Access(core int, addr uint64, arr trace.Array, write, engine
 	bankIdx := h.bankOf(line)
 	bank := h.l3[bankIdx]
 	bankTile := h.mesh.BankTile(bankIdx)
-	lat += h.mesh.RoundTrip(coreTile, bankTile) + bank.Latency()
-	e := h.entry(line)
+	lat += h.mesh.RoundTrip(h.mesh.CoreTile(core), bankTile) + bank.Latency()
+	e := h.dir.entry(line)
 
 	// Resolve a dirty peer copy first.
 	if e.owner >= 0 && int(e.owner) != core {
@@ -364,7 +323,7 @@ func (h *Hierarchy) upgrade(core int, line uint64, now uint64) uint64 {
 	bankIdx := h.bankOf(line)
 	bankTile := h.mesh.BankTile(bankIdx)
 	extra := h.mesh.RoundTrip(h.mesh.CoreTile(core), bankTile) + h.l3[bankIdx].Latency()
-	e := h.entry(line)
+	e := h.dir.entry(line)
 	others := e.sharers &^ (1 << uint(core))
 	if others != 0 {
 		extra += h.mesh.RoundTrip(bankTile, farthestTile(h.mesh, bankTile, others))

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"container/heap"
 	"fmt"
 
 	"chgraph/internal/trace"
@@ -103,19 +102,63 @@ const (
 	pushMask = trace.FlagPushChain | trace.FlagPushTuple
 )
 
-// agentHeap orders runnable agents by clock.
-type agentHeap []*Agent
+// runQueue is a binary min-heap of runnable agents ordered by clock. Its
+// operations repeat container/heap's algorithm step for step — strict < on
+// clock, the right child taken only when strictly smaller, pop as
+// swap(0, n-1) + down(0, n-1) — so agents with equal clocks leave in exactly
+// the order container/heap gave them. That order decides which core reaches
+// the shared L3, directory and DRAM queues first, so it is part of the
+// model: a different tie order changes simulated cycles.
+type runQueue []*Agent
 
-func (h agentHeap) Len() int            { return len(h) }
-func (h agentHeap) Less(i, j int) bool  { return h[i].clock < h[j].clock }
-func (h agentHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *agentHeap) Push(x interface{}) { *h = append(*h, x.(*Agent)) }
-func (h *agentHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	a := old[n-1]
-	*h = old[:n-1]
+func (q runQueue) init() {
+	n := len(q)
+	for i := n/2 - 1; i >= 0; i-- {
+		q.down(i, n)
+	}
+}
+
+func (q *runQueue) push(a *Agent) {
+	*q = append(*q, a)
+	q.up(len(*q) - 1)
+}
+
+func (q *runQueue) pop() *Agent {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h.down(0, n)
+	a := h[n]
+	*q = h[:n]
 	return a
+}
+
+func (q runQueue) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || q[j].clock >= q[i].clock {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (q runQueue) down(i, n int) {
+	for {
+		j := 2*i + 1 // left child
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].clock < q[j].clock {
+			j = j2
+		}
+		if q[j].clock >= q[i].clock {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
 }
 
 // System owns a hierarchy and accumulates metrics across phases.
@@ -133,7 +176,7 @@ type System struct {
 
 	// runq is the runnable-agent heap, recycled across RunPhase calls so
 	// steady-state phases do not grow a fresh heap each time.
-	runq agentHeap
+	runq runQueue
 }
 
 // New builds a simulated system.
@@ -164,9 +207,6 @@ func (s *System) AddCycles(c uint64) { s.elapsed += c }
 // barrier per computation phase, as in Hygra and ChGraph).
 func (s *System) RunPhase(agents []*Agent) uint64 {
 	start := s.elapsed
-	// The heap lives in s.runq and is manipulated through &s.runq: a local
-	// copy whose address is handed to container/heap would escape and cost
-	// one allocation per phase.
 	s.runq = s.runq[:0]
 	for _, a := range agents {
 		a.pc = 0
@@ -181,14 +221,14 @@ func (s *System) RunPhase(agents []*Agent) uint64 {
 			a.MLP = 1
 		}
 	}
-	heap.Init(&s.runq)
+	s.runq.init()
 
 	running := len(s.runq)
 	for running > 0 {
-		if s.runq.Len() == 0 {
+		if len(s.runq) == 0 {
 			panic(fmt.Sprintf("system: deadlock, %d agents blocked (%s)", running, describeBlocked(agents)))
 		}
-		a := heap.Pop(&s.runq).(*Agent)
+		a := s.runq.pop()
 		op := a.Ops[a.pc]
 
 		// Pop precondition.
@@ -248,7 +288,7 @@ func (s *System) RunPhase(agents []*Agent) uint64 {
 
 		a.pc++
 		if a.pc < len(a.Ops) {
-			heap.Push(&s.runq, a)
+			s.runq.push(a)
 		} else {
 			a.Finish = a.clock
 			running--
@@ -274,14 +314,14 @@ func (s *System) RunPhase(agents []*Agent) uint64 {
 
 // wake moves blocked agents back into the heap with clocks advanced to at
 // least now.
-func wake(h *agentHeap, list *[]*Agent, now uint64) {
+func wake(q *runQueue, list *[]*Agent, now uint64) {
 	for _, a := range *list {
 		if a.clock < now {
 			a.FifoStallCycles += now - a.clock
 			a.clock = now
 		}
 		a.blocked = false
-		heap.Push(h, a)
+		q.push(a)
 	}
 	*list = (*list)[:0]
 }

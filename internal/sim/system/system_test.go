@@ -239,3 +239,44 @@ func TestConfigSweepHelpers(t *testing.T) {
 		t.Fatal("WithCores failed")
 	}
 }
+
+// TestDirectory checks the standalone directory beside the L3: sharer
+// masks and the owner follow reads, E-grants and writes, and an entry is
+// dropped once no private cache and no L3 bank holds its line.
+func TestDirectory(t *testing.T) {
+	h := NewHierarchy(testConfig())
+	addr := lay.Addr(trace.VertexValue, 7*8)
+	line := addr / 64
+	h.Access(0, addr, trace.VertexValue, false, false, 0)
+	if e := h.dir.get(line); e == nil || e.sharers != 1<<0 || e.owner != 0 {
+		t.Fatalf("after sole read: entry %+v, want sharers {0}, owner 0 (E-grant)", e)
+	}
+	// Core 0's E copy may be dirty, so a read by core 3 recalls it as the
+	// owner: core 0 is invalidated and core 3 is E-granted in turn.
+	h.Access(3, addr, trace.VertexValue, false, false, 100)
+	if e := h.dir.get(line); e.sharers != 1<<3 || e.owner != 3 {
+		t.Fatalf("after second read: entry %+v, want sharers {3}, owner 3", e)
+	}
+	if h.PeerTransfers != 1 || h.InvalidationsSent != 1 {
+		t.Fatalf("peer transfers %d, invalidations %d, want 1 and 1", h.PeerTransfers, h.InvalidationsSent)
+	}
+	h.Access(2, addr, trace.VertexValue, true, false, 200)
+	if e := h.dir.get(line); e.sharers != 1<<2 || e.owner != 2 {
+		t.Fatalf("after write: entry %+v, want sharers {2}, owner 2", e)
+	}
+
+	// Stream other lines through core 2 until line leaves its private
+	// caches and the L3; the directory must then forget it.
+	for i := uint64(1); i < 5000 && h.dir.get(line) != nil; i++ {
+		a := lay.Addr(trace.VertexValue, (7+i)*8)
+		h.Access(2, a, trace.VertexValue, false, false, 300+i*10)
+	}
+	if e := h.dir.get(line); e != nil {
+		t.Fatalf("entry %+v outlived every cached copy", e)
+	}
+	for i, e := range h.dir.vals {
+		if l := h.dir.keys[i]; e != nil && e.sharers == 0 && e.owner < 0 && !h.l3[h.bankOf(l)].Contains(l) {
+			t.Fatalf("line %d: unreferenced entry kept", l)
+		}
+	}
+}

@@ -48,5 +48,7 @@ check internal/shard      90
 check internal/serve      90
 check internal/flight     90
 check internal/loadtest   84
+check internal/sim/system 83
+check internal/sim/cache  92
 
 exit $fail
