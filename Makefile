@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race bench bench-smoke bench-baseline benchgate mutate-smoke cover fuzz loadtest loadtest-smoke slogate slo-baseline dist-smoke
+.PHONY: tier1 build vet test race perfbench-check bench bench-smoke bench-baseline benchgate mutate-smoke cover fuzz loadtest loadtest-smoke slogate slo-baseline dist-smoke
 
 # tier1 is the gate every change must pass: clean build, vet, and the full
 # test suite. The race detector runs as its own CI job (`make race`) so a
@@ -23,6 +23,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench-check builds, vets and tests the benchmark harness. perfbench/
+# is its own module (importing chgraph/internal/...), so `go build ./...`
+# at the root does not see it; this keeps an internal API change from
+# silently breaking the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the host-parallelism benchmarks (Prepare and engine.Run with
 # Workers=1 vs all CPUs; speedup requires a multi-core host) and the timing
@@ -103,3 +110,4 @@ fuzz:
 	done
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oag/ -run '^$$' -fuzz '^FuzzMutationSequence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dist/ -run '^$$' -fuzz '^FuzzPrepareDecode$$' -fuzztime $(FUZZTIME)

@@ -103,16 +103,17 @@ func NewGraph(numVertices uint32, edges [][2]uint32) (*Hypergraph, error) {
 }
 
 // ReadHypergraph parses a hypergraph from r in either on-disk format
-// (internal/hypergraph/io.go): the binary format is detected by its "CHG1"
-// magic, anything else is parsed as the line-oriented text format (a `V H`
-// header, then one line of incident vertex ids per hyperedge). Adjacency is
-// sorted as NewHypergraph would, so a round-trip through WriteText/WriteBinary
-// yields an equivalent hypergraph.
+// (internal/hypergraph/io.go): the binary format is detected by its "CHG2"
+// magic (or the legacy "CHG1" one, still read but no longer written),
+// anything else is parsed as the line-oriented text format (a `V H` header,
+// then one line of incident vertex ids per hyperedge). The result is raw
+// (uncompressed) and its adjacency is sorted as NewHypergraph would, so a
+// round-trip through WriteText/WriteBinary yields an equivalent hypergraph.
 func ReadHypergraph(r io.Reader) (*Hypergraph, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(4)
 	var b *hypergraph.Bipartite
-	if err == nil && string(magic) == "CHG1" {
+	if err == nil && (string(magic) == "CHG2" || string(magic) == "CHG1") {
 		b, err = hypergraph.ReadBinary(br)
 	} else {
 		b, err = hypergraph.ReadText(br)
@@ -127,7 +128,8 @@ func ReadHypergraph(r io.Reader) (*Hypergraph, error) {
 // WriteText writes g in the line-oriented text format ReadHypergraph accepts.
 func (g *Hypergraph) WriteText(w io.Writer) error { return hypergraph.WriteText(w, g.b) }
 
-// WriteBinary writes g in the compact binary format ReadHypergraph accepts.
+// WriteBinary writes g in the binary format ReadHypergraph accepts: the
+// graph codec's "CHG2" encoding, the bytes a dist /prepare payload carries.
 func (g *Hypergraph) WriteBinary(w io.Writer) error { return hypergraph.WriteBinary(w, g.b) }
 
 // Datasets lists the paper's five hypergraph dataset names (Table II).

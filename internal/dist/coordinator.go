@@ -167,7 +167,7 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 			observe:   userObs != nil,
 			tap:       userObs,
 		}
-		b.graphBlob = appendGraph(nil, b.sh.G)
+		b.graphBlob = hypergraph.AppendCompressed(nil, b.sh.G)
 		b.nextV = bitset.New(b.sh.G.NumVertices())
 		errs[i] = b.retry(ctx, "prepare", b.handshake)
 		rbs[i] = b

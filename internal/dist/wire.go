@@ -23,18 +23,19 @@
 //	GET  /healthz   liveness + current session id.
 //
 // Binary bodies are length-prefixed little-endian: a uint32 JSON header
-// length, the JSON header, then the payload (bitset.Bitmap wire encoding,
-// packed uint32 mark pairs, or raw EdgeResult bytes). Determinism: the
-// worker applies resolutions through the exact engine.Step discipline the
-// in-process backend uses, and the coordinator applies HF/VF against the
-// single global state in the same shard-major order, so state checksums and
-// (crash-free) simulated cycles are bit-identical to shard.RunCtx.
+// length, the JSON header, then the payload (the graph codec's encoding,
+// bitset.Bitmap wire encoding, packed uint32 mark pairs, or raw EdgeResult
+// bytes). Determinism: the worker applies resolutions through the exact
+// engine.Step discipline the in-process backend uses, and the coordinator
+// applies HF/VF against the single global state in the same shard-major
+// order, so state checksums and (crash-free) simulated cycles are
+// bit-identical to shard.RunCtx.
 package dist
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
-	"io"
 
 	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
@@ -83,7 +84,8 @@ func (w wireOptions) engineOptions(workers int) (engine.Options, error) {
 }
 
 // prepareRequest is the /prepare JSON header; the request payload is the
-// shard's sub-hypergraph (appendGraph encoding).
+// shard's sub-hypergraph in the graph codec's encoding
+// (hypergraph.AppendCompressed), the same bytes as a CHG2 file.
 type prepareRequest struct {
 	// Session is the coordinator-chosen id every subsequent request must
 	// echo; a worker restarted since the handshake answers 409 and the
@@ -104,6 +106,10 @@ type prepareRequest struct {
 	// Observe asks the worker to capture per-phase snapshots and return
 	// them in commit replies.
 	Observe bool `json:"observe"`
+	// Compressed mirrors the coordinator's representation: the worker's
+	// engine runs the packed graph as decoded, and otherwise decompresses
+	// it first, so each worker runs what the in-process shard runs.
+	Compressed bool `json:"compressed"`
 }
 
 type prepareReply struct {
@@ -165,136 +171,29 @@ func splitHeader(body []byte) (hdr, payload []byte, err error) {
 	return body[:n], body[n:], nil
 }
 
-// Graph wire-format flag byte values. 0/1 are the historical raw encodings
-// (flat pin lists, directedness flag); 2 marks a compressed graph, whose
-// body is the hypergraph package's own compressed blob shipped verbatim —
-// the /prepare payload then shrinks with the codec instead of re-inflating
-// to 4 bytes per incidence.
-const (
-	wireGraphRaw        = 0
-	wireGraphDirected   = 1
-	wireGraphCompressed = 2
-)
-
-// appendGraph appends g's wire encoding: counts, a flag byte, then either
-// the raw adjacency (pin lists, preserving order; directed graphs add the
-// vertex-side adjacency, from which the decoder reconstructs the
-// per-hyperedge source sets) or, for compressed-only graphs, the
-// hypergraph.AppendCompressed blob verbatim. The raw decode rebuilds the
-// bipartite CSR through the same hypergraph.Build/BuildDirected calls
-// shard.Materialize uses, so a worker's sub-hypergraph is byte-identical to
-// the coordinator's; the compressed decode round-trips byte-identically by
-// the codec's own contract.
-func appendGraph(dst []byte, g *hypergraph.Bipartite) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, g.NumVertices())
-	dst = binary.LittleEndian.AppendUint32(dst, g.NumHyperedges())
-	if g.Compressed() {
-		dst = append(dst, wireGraphCompressed)
-		return hypergraph.AppendCompressed(dst, g)
-	}
-	if g.Directed() {
-		dst = append(dst, wireGraphDirected)
-	} else {
-		dst = append(dst, wireGraphRaw)
-	}
-	for h := uint32(0); h < g.NumHyperedges(); h++ {
-		pins := g.IncidentVertices(h)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pins)))
-		for _, v := range pins {
-			dst = binary.LittleEndian.AppendUint32(dst, v)
-		}
-	}
-	if g.Directed() {
-		for v := uint32(0); v < g.NumVertices(); v++ {
-			hs := g.IncidentHyperedges(v)
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(hs)))
-			for _, h := range hs {
-				dst = binary.LittleEndian.AppendUint32(dst, h)
-			}
-		}
-	}
-	return dst
-}
-
-// graphReader consumes little-endian uint32s off a byte slice.
-type graphReader struct{ b []byte }
-
-func (r *graphReader) u32() (uint32, error) {
-	if len(r.b) < 4 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v, nil
-}
-
-// decodeGraph reverses appendGraph.
-func decodeGraph(data []byte) (*hypergraph.Bipartite, error) {
-	r := &graphReader{b: data}
-	numV, err := r.u32()
+// decodePrepare splits a /prepare body into its JSON header and its shard
+// graph, decompressed unless the header says the coordinator runs
+// compressed.
+func decodePrepare(body []byte) (prepareRequest, *hypergraph.Bipartite, error) {
+	var req prepareRequest
+	hdr, payload, err := splitHeader(body)
 	if err != nil {
-		return nil, fmt.Errorf("dist: truncated graph: %w", err)
+		return req, nil, err
 	}
-	numH, err := r.u32()
+	if err := json.Unmarshal(hdr, &req); err != nil {
+		return req, nil, fmt.Errorf("dist: bad prepare header: %v", err)
+	}
+	if req.Session == "" {
+		return req, nil, fmt.Errorf("dist: prepare without session id")
+	}
+	g, err := hypergraph.DecodeCompressed(payload)
 	if err != nil {
-		return nil, fmt.Errorf("dist: truncated graph: %w", err)
+		return req, nil, fmt.Errorf("dist: shard graph: %w", err)
 	}
-	if len(r.b) < 1 {
-		return nil, fmt.Errorf("dist: truncated graph: %w", io.ErrUnexpectedEOF)
+	if !req.Compressed {
+		g = g.Decompress()
 	}
-	flag := r.b[0]
-	r.b = r.b[1:]
-	if flag == wireGraphCompressed {
-		g, err := hypergraph.DecodeCompressed(r.b)
-		if err != nil {
-			return nil, fmt.Errorf("dist: compressed graph: %w", err)
-		}
-		if g.NumVertices() != numV || g.NumHyperedges() != numH {
-			return nil, fmt.Errorf("dist: compressed graph counts (%d,%d) disagree with header (%d,%d)",
-				g.NumVertices(), g.NumHyperedges(), numV, numH)
-		}
-		return g, nil
-	}
-	if flag > wireGraphDirected {
-		return nil, fmt.Errorf("dist: unknown graph flag %d", flag)
-	}
-	directed := flag == wireGraphDirected
-	pins := make([][]uint32, numH)
-	for h := range pins {
-		deg, err := r.u32()
-		if err != nil {
-			return nil, fmt.Errorf("dist: truncated pin list: %w", err)
-		}
-		if uint64(deg) > uint64(len(r.b))/4 {
-			return nil, fmt.Errorf("dist: pin list overruns body (deg %d)", deg)
-		}
-		lp := make([]uint32, deg)
-		for i := range lp {
-			lp[i], _ = r.u32()
-		}
-		pins[h] = lp
-	}
-	if !directed {
-		return hypergraph.Build(numV, pins)
-	}
-	srcs := make([][]uint32, numH)
-	for v := uint32(0); v < numV; v++ {
-		deg, err := r.u32()
-		if err != nil {
-			return nil, fmt.Errorf("dist: truncated source list: %w", err)
-		}
-		if uint64(deg) > uint64(len(r.b))/4 {
-			return nil, fmt.Errorf("dist: source list overruns body (deg %d)", deg)
-		}
-		for i := uint32(0); i < deg; i++ {
-			h, _ := r.u32()
-			if h >= numH {
-				return nil, fmt.Errorf("dist: source hyperedge %d out of range", h)
-			}
-			srcs[h] = append(srcs[h], v)
-		}
-	}
-	return hypergraph.BuildDirected(numV, srcs, pins)
+	return req, g, nil
 }
 
 // appendMarks appends the packed mark pairs of a compiled step: a uint32

@@ -2,11 +2,19 @@ package dist
 
 import (
 	"bytes"
+	"context"
+	"io"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
+	"chgraph/internal/algorithms"
 	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
+	"chgraph/internal/shard"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -29,7 +37,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 // graphsEqual compares two bipartite hypergraphs structurally, including
-// adjacency order (the wire codec must preserve it bit for bit).
+// adjacency order (the graph codec must preserve it bit for bit).
 func graphsEqual(t *testing.T, a, b *hypergraph.Bipartite) {
 	t.Helper()
 	if a.NumVertices() != b.NumVertices() || a.NumHyperedges() != b.NumHyperedges() || a.Directed() != b.Directed() {
@@ -55,67 +63,141 @@ func graphsEqual(t *testing.T, a, b *hypergraph.Bipartite) {
 	}
 }
 
-func TestGraphRoundTripUndirected(t *testing.T) {
-	g := hypergraph.MustBuild(7, [][]uint32{{0, 1, 2}, {2, 3}, {}, {4, 5, 6, 0}})
-	got, err := decodeGraph(appendGraph(nil, g))
-	if err != nil {
-		t.Fatal(err)
+// startTappedWorkers is startHTTPWorkers with every /prepare body recorded
+// by shard index before the worker handles it.
+func startTappedWorkers(t *testing.T, k int) ([]string, func(shard int) []byte) {
+	t.Helper()
+	var mu sync.Mutex
+	bodies := map[int][]byte{}
+	addrs := make([]string, k)
+	for i := range addrs {
+		w := NewWorker()
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/prepare" {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					http.Error(rw, err.Error(), http.StatusBadRequest)
+					return
+				}
+				if req, _, err := decodePrepare(body); err == nil {
+					mu.Lock()
+					bodies[req.Shard] = body
+					mu.Unlock()
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			w.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(srv.Close)
+		addrs[i] = srv.URL
 	}
-	graphsEqual(t, g, got)
+	return addrs, func(shard int) []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		return bodies[shard]
+	}
 }
 
-func TestGraphRoundTripDirected(t *testing.T) {
-	g, err := hypergraph.BuildDirected(6,
-		[][]uint32{{0, 1}, {2}, {3, 4, 5}},
-		[][]uint32{{2, 3}, {0}, {1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := decodeGraph(appendGraph(nil, g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEqual(t, g, got)
-}
-
-func TestGraphRoundTripCompressed(t *testing.T) {
-	g := hypergraph.MustBuild(7, [][]uint32{{0, 1, 2}, {2, 3}, {}, {4, 5, 6, 0}}).Compress()
-	blob := appendGraph(nil, g)
-	got, err := decodeGraph(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Compressed() {
-		t.Fatal("decoded graph lost its compressed representation")
-	}
-	graphsEqual(t, g, got)
-	// Re-encoding the decoded graph must be byte-identical (the payload is
-	// the codec's canonical blob shipped verbatim).
-	if again := appendGraph(nil, got); !bytes.Equal(blob, again) {
-		t.Fatal("compressed wire encoding is not byte-stable")
-	}
-	// Truncations must error, never panic.
-	for n := 0; n < len(blob); n++ {
-		if _, err := decodeGraph(blob[:n]); err == nil {
-			t.Fatalf("decode of %d/%d bytes: want error", n, len(blob))
+// smallDirectedHG is a seeded directed hypergraph of smallHG's size.
+func smallDirectedHG(t *testing.T, seed int64) *hypergraph.Bipartite {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	numV := uint32(rng.Intn(80) + 8)
+	srcs := make([][]uint32, rng.Intn(100)+4)
+	dsts := make([][]uint32, len(srcs))
+	for i := range srcs {
+		for k := rng.Intn(4) + 1; k > 0; k-- {
+			srcs[i] = append(srcs[i], uint32(rng.Intn(int(numV))))
+			dsts[i] = append(dsts[i], uint32(rng.Intn(int(numV))))
 		}
 	}
-	// A count mismatch between header and blob must be rejected.
-	bad := append([]byte(nil), blob...)
-	bad[0]++
-	if _, err := decodeGraph(bad); err == nil {
-		t.Fatal("header/blob count mismatch: want error")
+	g, err := hypergraph.BuildDirected(numV, srcs, dsts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return g
 }
 
-func TestGraphDecodeTruncated(t *testing.T) {
-	g := hypergraph.MustBuild(5, [][]uint32{{0, 1}, {2, 3, 4}})
-	blob := appendGraph(nil, g)
-	for _, n := range []int{0, 3, 8, 9, 12, len(blob) - 1} {
-		if _, err := decodeGraph(blob[:n]); err == nil {
-			t.Fatalf("decode of %d/%d bytes: want error", n, len(blob))
-		}
+// TestPreparePayload pins the single graph encoding across the process
+// boundary: over real HTTP workers, each /prepare graph payload is
+// byte-identical to hypergraph.AppendCompressed and hypergraph.WriteBinary
+// of the coordinator's shard graph, the worker decodes it to that graph in
+// the shard's representation, and the run matches the in-process one.
+func TestPreparePayload(t *testing.T) {
+	const k = 2
+	var rawBody []byte
+	for _, c := range []struct {
+		name string
+		g    *hypergraph.Bipartite
+	}{
+		{"raw", smallHG(7)},
+		{"compressed", smallHG(7).Compress()},
+		{"directed", smallDirectedHG(t, 5)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			addrs, body := startTappedWorkers(t, k)
+			eo := engine.Options{Kind: engine.ChGraph, Sys: testSys()}
+			got, err := RunCtx(context.Background(), c.g, algorithms.NewBFS(0), fastOpts(addrs, shard.PolicyRange, eo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := shard.RunCtx(context.Background(), c.g, algorithms.NewBFS(0), shard.Options{
+				Shards: k, Policy: shard.PolicyRange, Engine: eo,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsEqual(t, got, want)
+
+			a, err := shard.Partition(c.g, k, shard.PolicyRange, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := shard.Materialize(c.g, a, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sh := range p.Shards {
+				req, dec, err := decodePrepare(body(i))
+				if err != nil {
+					t.Fatalf("shard %d: %v", i, err)
+				}
+				_, payload, _ := splitHeader(body(i))
+				var file bytes.Buffer
+				if err := hypergraph.WriteBinary(&file, sh.G); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(payload, hypergraph.AppendCompressed(nil, sh.G)) || !bytes.Equal(payload, file.Bytes()) {
+					t.Fatalf("shard %d: /prepare payload differs from the codec and file encodings", i)
+				}
+				if req.Compressed != sh.G.Compressed() || dec.Compressed() != sh.G.Compressed() {
+					t.Fatalf("shard %d: header compressed=%v, decoded compressed=%v, shard compressed=%v",
+						i, req.Compressed, dec.Compressed(), sh.G.Compressed())
+				}
+				if err := dec.Validate(); err != nil {
+					t.Fatalf("shard %d: %v", i, err)
+				}
+				graphsEqual(t, sh.G, dec)
+			}
+			if c.name == "raw" {
+				rawBody = body(0)
+			}
+		})
 	}
+	t.Run("truncated", func(t *testing.T) {
+		if rawBody == nil {
+			t.Skip("raw case did not run")
+		}
+		hdr, _, err := splitHeader(rawBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < len(rawBody); n++ {
+			if _, _, err := decodePrepare(rawBody[:n]); err == nil {
+				t.Fatalf("decode of %d/%d bytes (header %d): want error", n, len(rawBody), len(hdr))
+			}
+		}
+	})
 }
 
 func TestMarksRoundTrip(t *testing.T) {

@@ -173,18 +173,7 @@ func (w *Worker) reset() {
 }
 
 func (w *Worker) prepare(body []byte) ([]byte, error) {
-	hdr, payload, err := splitHeader(body)
-	if err != nil {
-		return nil, errBad("%v", err)
-	}
-	var req prepareRequest
-	if err := json.Unmarshal(hdr, &req); err != nil {
-		return nil, errBad("dist: bad prepare header: %v", err)
-	}
-	if req.Session == "" {
-		return nil, errBad("dist: prepare without session id")
-	}
-	g, err := decodeGraph(payload)
+	req, g, err := decodePrepare(body)
 	if err != nil {
 		return nil, errBad("%v", err)
 	}

@@ -206,6 +206,11 @@ func Generate(cfg Config) (*hypergraph.Bipartite, error) {
 			}
 			isHub = append(isHub, false)
 			b := blo + uint32(i%nb)
+			if b >= numBlocks {
+				// A trailing region with no blocks of its own (more
+				// regions than blocks): lend it the last block.
+				b = numBlocks - 1
+			}
 			i++
 			blockPeri[b] = append(blockPeri[b], handle)
 			d := geometric(rng, cfg.DegGeomP)
@@ -242,6 +247,8 @@ func Generate(cfg Config) (*hypergraph.Bipartite, error) {
 			b := blo
 			if bhi > blo {
 				b = blo + uint32(rng.Intn(int(bhi-blo)))
+			} else if b >= numBlocks {
+				b = numBlocks - 1 // blockless trailing region, as above
 			}
 			if coreTarget > 0 {
 				// Circular-band sampling: the block's i-th member covers

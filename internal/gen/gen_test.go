@@ -151,3 +151,27 @@ func TestOverlapStructureExists(t *testing.T) {
 		t.Fatalf("only %d/%d sampled hyperedges have a W_min=3 partner", withPartner, checked)
 	}
 }
+
+// TestSmallScalesGenerate: at small scales a recipe can have more regions
+// than blocks, leaving a region with none of its own. Every recipe must
+// still generate a valid hypergraph there, for several seeds.
+func TestSmallScalesGenerate(t *testing.T) {
+	for _, name := range HypergraphNames {
+		for _, scale := range []float64{0.005, 0.01, 0.02} {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg, err := Recipe(name, scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Seed = seed
+				g, err := Generate(cfg)
+				if err != nil {
+					t.Fatalf("%s@%g seed %d: %v", name, scale, seed, err)
+				}
+				if err := g.Validate(); err != nil {
+					t.Fatalf("%s@%g seed %d: %v", name, scale, seed, err)
+				}
+			}
+		}
+	}
+}

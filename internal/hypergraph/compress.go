@@ -19,6 +19,7 @@
 package hypergraph
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -209,11 +210,11 @@ func (g *Bipartite) PackedV() *PackedAdj { return g.pack.v }
 // Compress returns the compressed-only form of g: same counts, direction
 // and entry-offset arrays (shared, not copied), with the incidence lists
 // held solely as packed varint data. This is the form whose footprint
-// AdjacencyBytes measures and the dist codec ships. g itself is unchanged
-// (it gains a pack cache); do not call SortAdjacency on g afterwards while
-// holding the compressed view — re-sorting raw adjacency invalidates the
-// shared packed data, so SortAdjacency drops g's own cache but cannot see
-// views already handed out.
+// AdjacencyBytes measures. g itself is unchanged (it gains a pack cache);
+// do not call SortAdjacency on g afterwards while holding the compressed
+// view — re-sorting raw adjacency invalidates the shared packed data, so
+// SortAdjacency drops g's own cache but cannot see views already handed
+// out.
 func (g *Bipartite) Compress() *Bipartite {
 	if g.Compressed() {
 		return g
@@ -269,10 +270,11 @@ func (g *Bipartite) AdjacencyBytes() uint64 {
 	return n + 4*uint64(len(g.hAdj)+len(g.vAdj))
 }
 
-// Compressed wire codec (shared by the dist /prepare transport and the
-// on-disk-free round-trip tests):
+// The graph codec: the one serialization of a Bipartite. Files
+// (WriteBinary), registry uploads and the dist /prepare payload all carry
+// these bytes:
 //
-//	u32 numV, u32 numH, u8 flags (bit0 = directed)
+//	"CHG2" magic, u32 numV, u32 numH, u8 flags (bit0 = directed)
 //	h side: per-list uvarint degree ×numH, u32 dataLen, data
 //	v side: per-list uvarint degree ×numV, u32 dataLen, data
 //
@@ -280,10 +282,20 @@ func (g *Bipartite) AdjacencyBytes() uint64 {
 // encode→decode→encode is byte-identical (the property FuzzCompressedCodec
 // pins).
 
-// AppendCompressed appends g's compressed wire encoding to dst, packing g
-// first if needed.
+// codecMagic heads every encoding; ReadBinary also accepts the legacy
+// "CHG1" raw layout (io.go).
+var codecMagic = []byte("CHG2")
+
+// AppendCompressed appends g's encoding to dst. A raw graph is encoded
+// from a temporary pack, never cached on g.
 func AppendCompressed(dst []byte, g *Bipartite) []byte {
-	g.EnsurePacked()
+	var h, v *PackedAdj
+	if g.Compressed() {
+		h, v = g.pack.h, g.pack.v
+	} else {
+		h, v = packAdjacency(g.hOff, g.hAdj), packAdjacency(g.vOff, g.vAdj)
+	}
+	dst = append(dst, codecMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, g.numV)
 	dst = binary.LittleEndian.AppendUint32(dst, g.numH)
 	var flags byte
@@ -291,8 +303,8 @@ func AppendCompressed(dst []byte, g *Bipartite) []byte {
 		flags |= 1
 	}
 	dst = append(dst, flags)
-	dst = appendPackedSide(dst, g.pack.h)
-	return appendPackedSide(dst, g.pack.v)
+	dst = appendPackedSide(dst, h)
+	return appendPackedSide(dst, v)
 }
 
 func appendPackedSide(dst []byte, p *PackedAdj) []byte {
@@ -305,19 +317,23 @@ func appendPackedSide(dst []byte, p *PackedAdj) []byte {
 
 // DecodeCompressed reverses AppendCompressed into a compressed-only
 // Bipartite, validating structure as it goes: degrees and payload lengths
-// must be consistent, every varint must terminate inside the payload, and
-// every decoded id must be in range for its side.
+// must be consistent, every varint must terminate inside the payload,
+// every decoded id must be in range for its side, and an undirected
+// graph's vertex side must mirror its hyperedge side.
 func DecodeCompressed(data []byte) (*Bipartite, error) {
-	if len(data) < 9 {
+	if len(data) < 13 {
 		return nil, fmt.Errorf("hypergraph: truncated compressed header (%d bytes)", len(data))
 	}
-	numV := binary.LittleEndian.Uint32(data)
-	numH := binary.LittleEndian.Uint32(data[4:])
-	flags := data[8]
+	if !bytes.Equal(data[:4], codecMagic) {
+		return nil, fmt.Errorf("hypergraph: bad magic %q", data[:4])
+	}
+	numV := binary.LittleEndian.Uint32(data[4:])
+	numH := binary.LittleEndian.Uint32(data[8:])
+	flags := data[12]
 	if flags > 1 {
 		return nil, fmt.Errorf("hypergraph: unknown compressed flags %#x", flags)
 	}
-	data = data[9:]
+	data = data[13:]
 	g := &Bipartite{numV: numV, numH: numH, directed: flags&1 != 0, pack: &packedPair{}}
 	var err error
 	if g.hOff, g.pack.h, data, err = decodePackedSide(data, numH, numV); err != nil {
@@ -329,10 +345,52 @@ func DecodeCompressed(data []byte) (*Bipartite, error) {
 	if len(data) != 0 {
 		return nil, fmt.Errorf("hypergraph: %d trailing bytes after compressed graph", len(data))
 	}
-	if !g.directed && g.hOff[numH] != g.vOff[numV] {
-		return nil, fmt.Errorf("hypergraph: bipartite edge count asymmetric (%d vs %d)", g.hOff[numH], g.vOff[numV])
+	if err := g.checkMirror(g.pack.h.NewCursor().List, g.pack.v.NewCursor().List); err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// checkMirror verifies that an undirected graph's vertex side holds
+// exactly the (h, v) incidences of its hyperedge side, with multiplicity,
+// in O(E) and without a map: the hyperedge side is bucketed by vertex (a
+// counting-sort transpose into the slots vOff lays out, so an over-full
+// bucket is a degree mismatch), then each vertex's list is tallied against
+// its bucket. hList and vList read the two sides, whose ids the caller has
+// range-checked. A directed graph's sides are independent; it passes.
+func (g *Bipartite) checkMirror(hList, vList func(uint32) []uint32) error {
+	if g.directed {
+		return nil
+	}
+	if g.hOff[g.numH] != g.vOff[g.numV] {
+		return fmt.Errorf("hypergraph: bipartite edge count asymmetric (%d vs %d)", g.hOff[g.numH], g.vOff[g.numV])
+	}
+	next := append([]uint32(nil), g.vOff[:g.numV]...)
+	byV := make([]uint32, g.vOff[g.numV])
+	for h := uint32(0); h < g.numH; h++ {
+		for _, v := range hList(h) {
+			if next[v] == g.vOff[v+1] {
+				return fmt.Errorf("hypergraph: vertex %d has more incidences on the hyperedge side than its degree %d", v, g.VertexDegree(v))
+			}
+			byV[next[v]] = h
+			next[v]++
+		}
+	}
+	tally := make([]uint32, g.numH)
+	for v := uint32(0); v < g.numV; v++ {
+		for _, h := range byV[g.vOff[v]:g.vOff[v+1]] {
+			tally[h]++
+		}
+		// Both lists have deg(v) entries, so matching every vertex-side
+		// entry leaves the tally at zero for the next vertex.
+		for _, h := range vList(v) {
+			if tally[h] == 0 {
+				return fmt.Errorf("hypergraph: incidence (%d,%d) asymmetric", h, v)
+			}
+			tally[h]--
+		}
+	}
+	return nil
 }
 
 // decodePackedSide consumes one side's encoding: n uvarint degrees, a u32
@@ -381,23 +439,11 @@ func decodePackedSide(data []byte, n, maxID uint32) (off []uint32, p *PackedAdj,
 		}
 		var prev uint32
 		for k := off[i]; k < off[i+1]; k++ {
-			var uz uint64
-			var shift uint
-			for {
-				if pos >= dataLen {
-					return nil, nil, nil, fmt.Errorf("varint overruns payload in list %d", i)
-				}
-				if shift > 63 {
-					return nil, nil, nil, fmt.Errorf("varint too long in list %d", i)
-				}
-				b := p.data[pos]
-				pos++
-				uz |= uint64(b&0x7f) << shift
-				if b&0x80 == 0 {
-					break
-				}
-				shift += 7
+			uz, w := binary.Uvarint(p.data[pos:])
+			if w <= 0 {
+				return nil, nil, nil, fmt.Errorf("varint overruns payload or 64 bits in list %d", i)
 			}
+			pos += w
 			delta := int64(uz>>1) ^ -int64(uz&1)
 			id := int64(prev) + delta
 			if id < 0 || id >= int64(maxID) {

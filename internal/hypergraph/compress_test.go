@@ -2,6 +2,8 @@ package hypergraph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
 )
@@ -182,7 +184,7 @@ func TestDecodeCompressedRejectsCorruption(t *testing.T) {
 	g := MustBuild(20, [][]uint32{{0, 5, 19}, {3}, {7, 8}})
 	blob := AppendCompressed(nil, g)
 	// Flip every single byte; decode must never panic and any acceptance
-	// must still produce an in-range, internally consistent structure.
+	// must still produce an internally consistent structure.
 	for i := range blob {
 		bad := append([]byte(nil), blob...)
 		bad[i] ^= 0x40
@@ -190,14 +192,59 @@ func TestDecodeCompressedRejectsCorruption(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		raw := dec.Decompress()
-		for h := uint32(0); h < raw.NumHyperedges(); h++ {
-			for _, v := range raw.IncidentVertices(h) {
-				if v >= raw.NumVertices() {
-					t.Fatalf("byte %d flip decoded out-of-range vertex %d", i, v)
-				}
-			}
+		if err := dec.Validate(); err != nil {
+			t.Fatalf("byte %d flip decoded an invalid graph: %v", i, err)
 		}
+	}
+}
+
+// TestDecodeCompressedRejectsMirrorGap splices one graph's vertex side onto
+// another's hyperedge side. Both sides are well-formed and hold the same
+// number of entries, so only the mirror check can tell that the vertex side
+// does not list the hyperedge side's incidences.
+func TestDecodeCompressedRejectsMirrorGap(t *testing.T) {
+	// The empty graph's encoding is the header (ending in the flags byte)
+	// plus two zero payload lengths.
+	hdrLen := len(AppendCompressed(nil, MustBuild(0, nil))) - 8
+	// hSideEnd is the byte offset where the vertex side starts (all
+	// degrees here fit one varint byte).
+	hSideEnd := func(blob []byte, numH int) int {
+		lenAt := hdrLen + numH
+		return lenAt + 4 + int(binary.LittleEndian.Uint32(blob[lenAt:]))
+	}
+	a := AppendCompressed(nil, MustBuild(3, [][]uint32{{0, 1}, {0, 2}}))
+	b := AppendCompressed(nil, MustBuild(3, [][]uint32{{0, 1}, {1, 2}}))
+	splice := append(append([]byte(nil), b[:hSideEnd(b, 2)]...), a[hSideEnd(a, 2):]...)
+	if g, err := DecodeCompressed(splice); err == nil {
+		t.Fatalf("spliced sides decoded (Validate: %v)", g.Validate())
+	}
+	// The same splice is fine for a directed graph, whose sides are
+	// independent by construction.
+	splice[hdrLen-1] = 1
+	g, err := DecodeCompressed(splice)
+	if err != nil {
+		t.Fatalf("directed splice: %v", err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendCompressedKeepsRawGraphsRaw: encoding a raw graph packs into a
+// temporary buffer; it must not leave a packed copy cached on the graph.
+func TestAppendCompressedKeepsRawGraphsRaw(t *testing.T) {
+	g := fig1()
+	if err := WriteBinary(io.Discard, g); err != nil {
+		t.Fatal(err)
+	}
+	if g.pack.h != nil || g.pack.v != nil {
+		t.Fatal("WriteBinary cached a pack on a raw graph")
+	}
+	// A graph that already caches its pack encodes to the same bytes.
+	cached := fig1()
+	cached.EnsurePacked()
+	if !bytes.Equal(AppendCompressed(nil, g), AppendCompressed(nil, cached)) {
+		t.Fatal("cached and temporary packs encode differently")
 	}
 }
 
@@ -205,9 +252,11 @@ func FuzzCompressedCodec(f *testing.F) {
 	f.Add(uint32(4), []byte{0, 0, 1, 0, 0xFF, 0xFF, 2, 0, 3, 0})
 	f.Add(uint32(1), []byte{})
 	f.Add(uint32(300), []byte{44, 1, 2, 1, 0xFF, 0xFF, 9, 0})
-	// Raw-blob probes for the decode branch.
+	// Blob probes for the decode branch: one encoding, one blob without
+	// the magic (the pre-magic layout, now rejected) and its prefixed copy.
 	f.Add(uint32(0), AppendCompressed(nil, MustBuild(3, [][]uint32{{0, 1}, {1, 2}})))
 	f.Add(uint32(0), []byte{2, 0, 0, 0, 1, 0, 0, 0, 0})
+	f.Add(uint32(0), []byte("CHG2\x02\x00\x00\x00\x01\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, numV uint32, data []byte) {
 		if numV > maxFuzzVertices || len(data) > 1<<12 {
 			t.Skip()
@@ -228,12 +277,15 @@ func FuzzCompressedCodec(f *testing.F) {
 				t.Fatal("re-encoding not byte-identical")
 			}
 		}
-		// Branch 2: arbitrary bytes must never panic, and anything the
-		// decoder accepts must canonicalize to a byte-stable encoding after
+		// Branch 2: arbitrary bytes must never panic, anything the decoder
+		// accepts must be valid and canonicalize to a byte-stable encoding after
 		// one pass (degrees re-encoded minimally, payload verbatim).
 		dec, err := DecodeCompressed(data)
 		if err != nil {
 			return
+		}
+		if err := dec.Validate(); err != nil {
+			t.Fatalf("accepted an invalid graph: %v", err)
 		}
 		enc1 := AppendCompressed(nil, dec)
 		dec2, err := DecodeCompressed(enc1)

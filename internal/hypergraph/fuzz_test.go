@@ -232,12 +232,15 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("CHG1"))
 	f.Add([]byte("CHG1\x02\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00"))
 	f.Add([]byte("XXXX"))
+	f.Add(CHG1Fixture)
+	f.Add([]byte("CHG2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			t.Skip()
 		}
-		// Same memory guard as FuzzReadText: the header's numV/numH drive
-		// allocation sizes inside Build.
+		// Same memory guard as FuzzReadText: the header's numV/numH (at the
+		// same offsets in both magics' layouts) drive allocation sizes
+		// inside Build.
 		if len(data) >= 12 {
 			numV := binary.LittleEndian.Uint32(data[4:8])
 			numH := binary.LittleEndian.Uint32(data[8:12])

@@ -179,9 +179,6 @@ func (g *Bipartite) Validate() error {
 	if !g.Compressed() && (g.hOff[g.numH] != uint32(len(g.hAdj)) || g.vOff[g.numV] != uint32(len(g.vAdj))) {
 		return errors.New("hypergraph: trailing offset mismatch")
 	}
-	if !g.directed && g.hOff[g.numH] != g.vOff[g.numV] {
-		return errors.New("hypergraph: bipartite edge count asymmetric")
-	}
 	for h := uint32(0); h < g.numH; h++ {
 		if g.hOff[h] > g.hOff[h+1] {
 			return fmt.Errorf("hypergraph: hOff not monotone at %d", h)
@@ -202,28 +199,8 @@ func (g *Bipartite) Validate() error {
 			}
 		}
 	}
-	if g.directed {
-		return nil // asymmetric by construction
-	}
 	// Mirror consistency: every (h, v) incidence appears in both CSRs.
-	type pair struct{ a, b uint32 }
-	fromH := make(map[pair]int)
-	for h := uint32(0); h < g.numH; h++ {
-		for _, v := range g.IncidentVertices(h) {
-			fromH[pair{h, v}]++
-		}
-	}
-	for v := uint32(0); v < g.numV; v++ {
-		for _, h := range g.IncidentHyperedges(v) {
-			fromH[pair{h, v}]--
-		}
-	}
-	for p, n := range fromH {
-		if n != 0 {
-			return fmt.Errorf("hypergraph: incidence (%d,%d) asymmetric", p.a, p.b)
-		}
-	}
-	return nil
+	return g.checkMirror(g.IncidentVertices, g.IncidentHyperedges)
 }
 
 // Overlapped reports whether hyperedges a and b share at least one vertex

@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,8 +16,9 @@ import (
 //   - a line-oriented text format ("hgr"): a header line `V H` followed by
 //     one line per hyperedge listing its incident vertex ids — the shape of
 //     the classic hMETIS/PaToH hypergraph formats;
-//   - a compact binary format: magic, counts, then the CSR offset and
-//     adjacency arrays, little endian.
+//   - the binary format, which is the graph codec of compress.go ("CHG2"
+//     magic, counts, both packed incidence sides). ReadBinary also reads
+//     the legacy CHG1 layout.
 
 // WriteText writes g in the text format.
 func WriteText(w io.Writer, g *Bipartite) error {
@@ -83,66 +85,56 @@ func ReadText(r io.Reader) (*Bipartite, error) {
 	return Build(numV, hs)
 }
 
-// binaryMagic identifies the binary format ("CHG1").
-var binaryMagic = [4]byte{'C', 'H', 'G', '1'}
-
-// WriteBinary writes g in the compact binary format.
+// WriteBinary writes g in the binary format: the graph codec's encoding
+// (AppendCompressed), whatever g's in-memory representation.
 func WriteBinary(w io.Writer, g *Bipartite) error {
-	if g.Compressed() {
-		g = g.Decompress()
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	hdr := []uint32{g.NumVertices(), g.NumHyperedges(), uint32(len(g.hAdj))}
-	for _, x := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, x); err != nil {
-			return err
-		}
-	}
-	for _, arr := range [][]uint32{g.hOff, g.hAdj} {
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	_, err := w.Write(AppendCompressed(nil, g))
+	return err
 }
 
-// ReadBinary parses the binary format (rebuilding the vertex-side mirror).
+// ReadBinary parses the binary format, or the legacy CHG1 format, into a
+// raw (uncompressed) graph.
 func ReadBinary(r io.Reader) (*Bipartite, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("hypergraph: bad magic %q", magic)
+	if bytes.HasPrefix(data, legacyMagic) {
+		return readCHG1(data[len(legacyMagic):])
 	}
-	var numV, numH, numAdj uint32
-	for _, p := range []*uint32{&numV, &numH, &numAdj} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	const sanity = 1 << 30
-	if numAdj > sanity || numH > sanity || numV > sanity {
-		return nil, fmt.Errorf("hypergraph: implausible sizes %d/%d/%d", numV, numH, numAdj)
-	}
-	hOff := make([]uint32, numH+1)
-	hAdj := make([]uint32, numAdj)
-	if err := binary.Read(br, binary.LittleEndian, hOff); err != nil {
+	g, err := DecodeCompressed(data)
+	if err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, hAdj); err != nil {
-		return nil, err
+	return g.Decompress(), nil
+}
+
+// legacyMagic heads the CHG1 format, read for one release and no longer
+// written: u32 numV, numH, numAdj, hOff[numH+1], hAdj[numAdj], little endian.
+var legacyMagic = []byte("CHG1")
+
+// readCHG1 parses a CHG1 body (after the magic), rebuilding the vertex-side
+// mirror through Build. The array lengths are checked against the body, so
+// only numV needs a plausibility bound.
+func readCHG1(b []byte) (*Bipartite, error) {
+	word := func(i uint64) uint32 { return binary.LittleEndian.Uint32(b[4*i:]) }
+	if len(b) < 12 {
+		return nil, fmt.Errorf("hypergraph: truncated CHG1 header: %w", io.ErrUnexpectedEOF)
+	}
+	numV, numH, numAdj := word(0), uint64(word(1)), word(2)
+	adjAt := 4 + numH // word index of hAdj[0]; hOff starts at word 3
+	if numV > 1<<30 || adjAt+uint64(numAdj) > uint64(len(b))/4 {
+		return nil, fmt.Errorf("hypergraph: truncated or implausible CHG1 (%d/%d/%d)", numV, numH, numAdj)
 	}
 	hs := make([][]uint32, numH)
-	for h := uint32(0); h < numH; h++ {
-		if hOff[h] > hOff[h+1] || hOff[h+1] > numAdj {
+	for h := range hs {
+		lo, hi := word(3+uint64(h)), word(4+uint64(h))
+		if lo > hi || hi > numAdj {
 			return nil, fmt.Errorf("hypergraph: corrupt offsets at %d", h)
 		}
-		hs[h] = hAdj[hOff[h]:hOff[h+1]]
+		for i := lo; i < hi; i++ {
+			hs[h] = append(hs[h], word(adjAt+uint64(i)))
+		}
 	}
 	return Build(numV, hs)
 }

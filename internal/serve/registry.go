@@ -17,7 +17,7 @@ import (
 // /mutate can address real data by name instead of only the synthetic
 // recipes. Lifecycle:
 //
-//	PUT    /datasets/{tenant}/{name}  upload (text or CHG1 binary format)
+//	PUT    /datasets/{tenant}/{name}  upload (text, or binary: "CHG2" or legacy "CHG1")
 //	GET    /datasets/{tenant}/{name}  metadata
 //	GET    /datasets/{tenant}         list the tenant's datasets
 //	DELETE /datasets/{tenant}/{name}  evict
