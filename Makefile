@@ -42,12 +42,11 @@ bench:
 # bench-smoke is the CI perf trace: one quick benchmark pass plus a scaled-
 # down bench session whose per-run timelines land in bench-metrics.json
 # (uploaded as a workflow artifact so every PR has a perf trace to diff).
-# The session runs -compressed: results are bit-identical to raw (so the
-# cycle gate still holds against raw-era baselines) and the summary's
-# bytes_per_edge measures the compressed CSR for the memory wall.
+# The summary's bytes_per_edge measures the packed CSR every graph holds,
+# for the memory wall.
 bench-smoke:
 	$(MAKE) bench BENCHTIME=1x
-	$(GO) run ./cmd/chgraph-bench -fig fig2,shards -scale 0.05 -compressed -metrics-out bench-metrics.json
+	$(GO) run ./cmd/chgraph-bench -fig fig2,shards -scale 0.05 -metrics-out bench-metrics.json
 
 # benchgate compares the fresh bench-metrics.json against the committed
 # BENCH_baseline.json and fails on regression (>5% simulated cycles, >10%

@@ -23,7 +23,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"chgraph/internal/algorithms"
 	"chgraph/internal/bitset"
@@ -40,33 +39,10 @@ import (
 	"chgraph/internal/trace"
 )
 
-// Hypergraph is a bipartite-CSR hypergraph (Figure 4 of the paper).
+// Hypergraph is a bipartite-CSR hypergraph (Figure 4 of the paper), its
+// incidence lists held delta/varint-packed.
 type Hypergraph struct {
 	b *hypergraph.Bipartite
-
-	// comp caches the delta/varint-compressed view built on first use of
-	// RunConfig.Compressed. One stable pointer per Hypergraph is what lets
-	// Prepare/Run match prepared artifacts to the graph they were built for
-	// in compressed mode.
-	compOnce sync.Once
-	comp     *hypergraph.Bipartite
-}
-
-// compressed returns the compressed-only view of g, building it once.
-func (g *Hypergraph) compressed() *hypergraph.Bipartite {
-	if g.b.Compressed() {
-		return g.b
-	}
-	g.compOnce.Do(func() { g.comp = g.b.Compress() })
-	return g.comp
-}
-
-// runGraph resolves which representation a cfg-shaped run executes on.
-func (g *Hypergraph) runGraph(compressed bool) *hypergraph.Bipartite {
-	if compressed {
-		return g.compressed()
-	}
-	return g.b
 }
 
 // NewHypergraph builds a hypergraph from per-hyperedge incident vertex
@@ -104,16 +80,16 @@ func NewGraph(numVertices uint32, edges [][2]uint32) (*Hypergraph, error) {
 
 // ReadHypergraph parses a hypergraph from r in either on-disk format
 // (internal/hypergraph/io.go): the binary format is detected by its "CHG2"
-// magic (or the legacy "CHG1" one, still read but no longer written),
-// anything else is parsed as the line-oriented text format (a `V H` header,
-// then one line of incident vertex ids per hyperedge). The result is raw
-// (uncompressed) and its adjacency is sorted as NewHypergraph would, so a
-// round-trip through WriteText/WriteBinary yields an equivalent hypergraph.
+// magic, anything else is parsed as the line-oriented text format (a `V H`
+// header, then one line of incident vertex ids per hyperedge). Its
+// adjacency is sorted as NewHypergraph would, so a round-trip through
+// WriteText/WriteBinary yields an equivalent hypergraph. A binary body whose
+// lists are already sorted keeps its packed payload byte for byte.
 func ReadHypergraph(r io.Reader) (*Hypergraph, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(4)
 	var b *hypergraph.Bipartite
-	if err == nil && (string(magic) == "CHG2" || string(magic) == "CHG1") {
+	if err == nil && string(magic) == "CHG2" {
 		b, err = hypergraph.ReadBinary(br)
 	} else {
 		b, err = hypergraph.ReadText(br)
@@ -166,10 +142,11 @@ func (g *Hypergraph) NumHyperedges() uint32 { return g.b.NumHyperedges() }
 // NumBipartiteEdges returns the incidence count (Table II's #BEdges).
 func (g *Hypergraph) NumBipartiteEdges() uint64 { return g.b.NumBipartiteEdges() }
 
-// IncidentVertices returns N(h); the slice must not be modified.
+// IncidentVertices returns N(h) as a freshly decoded slice the caller owns.
 func (g *Hypergraph) IncidentVertices(h uint32) []uint32 { return g.b.IncidentVertices(h) }
 
-// IncidentHyperedges returns N(v); the slice must not be modified.
+// IncidentHyperedges returns N(v) as a freshly decoded slice the caller
+// owns.
 func (g *Hypergraph) IncidentHyperedges(v uint32) []uint32 { return g.b.IncidentHyperedges(v) }
 
 // OverlapSize returns |N(a) ∩ N(b)| for hyperedges a and b (§II-A).
@@ -178,13 +155,20 @@ func (g *Hypergraph) OverlapSize(a, b uint32) uint32 { return g.b.OverlapSize(a,
 // Stats returns Table II-style statistics.
 func (g *Hypergraph) Stats() hypergraph.Stats { return hypergraph.ComputeStats(g.b) }
 
-// Footprint reports the adjacency storage a run with RunConfig.Compressed
-// set accordingly executes on: total bytes (offset arrays plus neighbor
-// storage, both incidence directions) and bytes per bipartite edge. Asking
-// for the compressed footprint builds (and caches) the compressed view.
-func (g *Hypergraph) Footprint(compressed bool) (totalBytes uint64, bytesPerEdge float64) {
-	b := g.runGraph(compressed)
-	totalBytes = b.AdjacencyBytes()
+// Footprint reports adjacency storage, both incidence directions: total
+// bytes and bytes per bipartite edge. Footprint(true) is what g holds (plain
+// offset arrays plus the packed lists); Footprint(false) is the size of the
+// plain CSR with the same lists (4-byte offsets and ids), the baseline the
+// packing is measured against.
+func (g *Hypergraph) Footprint(packed bool) (totalBytes uint64, bytesPerEdge float64) {
+	b := g.b
+	if packed {
+		totalBytes = b.AdjacencyBytes()
+	} else {
+		// StorageBytes is that plain CSR plus one 8-byte value slot per
+		// element.
+		totalBytes = b.StorageBytes() - 8*uint64(b.NumVertices()+b.NumHyperedges())
+	}
 	if e := b.NumBipartiteEdges(); e > 0 {
 		bytesPerEdge = float64(totalBytes) / float64(e)
 	}
@@ -286,14 +270,6 @@ type RunConfig struct {
 	// compile phase op streams. Simulated results are identical for every
 	// value; 0 uses all available CPUs, 1 forces the serial path.
 	Workers int
-	// Compressed runs on the delta/varint-compressed CSR instead of the raw
-	// one: adjacency storage shrinks (the bytes_per_edge bench metric), the
-	// engines decode incidence lists through streaming cursors, and
-	// distributed runs ship the compressed blob to workers. Results are
-	// bit-identical to the raw representation — offsets stay uncompressed,
-	// so the simulated address stream never changes. A Prepared artifact
-	// must have been built with the same setting.
-	Compressed bool
 	// Observer, if non-nil, receives per-phase, per-iteration and run
 	// snapshots during the run (see NewTimeline / NewLogObserver).
 	// Observers are read-only: attaching one leaves the Result
@@ -419,7 +395,7 @@ func Prepare(ctx context.Context, g *Hypergraph, cfg RunConfig) (*Prepared, erro
 		ctx = context.Background()
 	}
 	eopt := prepOptions(cfg)
-	b := g.runGraph(cfg.Compressed)
+	b := g.b
 	p := &Prepared{b: b, cores: eopt.Sys.Cores, wMin: eopt.WMin}
 	if cfg.Shards > 1 {
 		pol := shard.PolicyRange
@@ -579,13 +555,13 @@ func RunContext(ctx context.Context, g *Hypergraph, algorithm string, cfg RunCon
 	}
 
 	eopt := prepOptions(cfg)
-	b := g.runGraph(cfg.Compressed)
+	b := g.b
 	if len(cfg.DistWorkers) > 0 && cfg.Prepared != nil {
 		return nil, fmt.Errorf("chgraph: Prepared artifacts are not supported with DistWorkers (each worker preps its own sub-hypergraph)")
 	}
 	if p := cfg.Prepared; p != nil {
 		if p.b != b {
-			return nil, fmt.Errorf("chgraph: Prepared was built for a different hypergraph or representation (check RunConfig.Compressed)")
+			return nil, fmt.Errorf("chgraph: Prepared was built for a different hypergraph")
 		}
 		if p.cores != eopt.Sys.Cores || p.wMin != eopt.WMin {
 			return nil, fmt.Errorf("chgraph: Prepared built for cores=%d/wMin=%d, run wants cores=%d/wMin=%d",

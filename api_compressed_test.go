@@ -1,47 +1,63 @@
 package chgraph
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 )
 
-// TestCompressedRunBitIdentical is the public contract of
-// RunConfig.Compressed: the compressed CSR is a pure representation change,
-// so every observable of a run — values, cycles, per-group memory traffic,
-// chain counts — matches the raw run bit for bit, unsharded and sharded.
+// reread returns g read back from its own compressed (CHG2) encoding, as a
+// registry upload or file load would hold it.
+func reread(t *testing.T, g *Hypergraph) *Hypergraph {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadHypergraph(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestCompressedRunBitIdentical: a hypergraph read back from its compressed
+// encoding runs bit for bit like the original — values, cycles, per-group
+// memory traffic, chain counts — unsharded and sharded.
 func TestCompressedRunBitIdentical(t *testing.T) {
 	g := prepareTestHG(t)
+	back := reread(t, g)
 	for _, alg := range []string{"PR", "BFS"} {
 		for _, cfg := range []RunConfig{
 			{Engine: ChGraph, Cores: 4, Iterations: 3},
 			{Engine: Hygra, Cores: 2, Iterations: 3},
 			{Engine: GLA, Cores: 4, Iterations: 3, Shards: 2},
 		} {
-			raw, err := Run(g, alg, cfg)
+			want, err := Run(g, alg, cfg)
 			if err != nil {
-				t.Fatalf("%s raw: %v", alg, err)
+				t.Fatalf("%s original: %v", alg, err)
 			}
-			c := cfg
-			c.Compressed = true
-			comp, err := Run(g, alg, c)
+			got, err := Run(back, alg, cfg)
 			if err != nil {
-				t.Fatalf("%s compressed: %v", alg, err)
+				t.Fatalf("%s reread: %v", alg, err)
 			}
-			if !reflect.DeepEqual(raw, comp) {
-				t.Fatalf("%s shards=%d: compressed run diverged:\nraw  %+v\ncomp %+v",
-					alg, cfg.Shards, raw, comp)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s shards=%d: run on the reread graph diverged:\nwant %+v\ngot  %+v",
+					alg, cfg.Shards, want, got)
 			}
 		}
 	}
 }
 
-// TestCompressedPreparedRoundTrip pins the Prepared interplay: artifacts
-// prepared compressed serve compressed runs (bit-identical to direct runs),
-// are rejected by raw runs, and survive Apply with the representation intact.
+// TestCompressedPreparedRoundTrip pins the Prepared interplay for a graph
+// read back from its compressed encoding: its artifacts serve its runs
+// (bit-identical to direct runs), are rejected for the original graph
+// object, and survive Apply.
 func TestCompressedPreparedRoundTrip(t *testing.T) {
-	g := prepareTestHG(t)
-	cfg := RunConfig{Engine: ChGraph, Cores: 4, Iterations: 3, Compressed: true}
+	orig := prepareTestHG(t)
+	g := reread(t, orig)
+	cfg := RunConfig{Engine: ChGraph, Cores: 4, Iterations: 3}
 	pre, err := Prepare(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
@@ -57,17 +73,15 @@ func TestCompressedPreparedRoundTrip(t *testing.T) {
 		t.Fatalf("prepared Run: %v", err)
 	}
 	if !reflect.DeepEqual(direct, reused) {
-		t.Fatal("prepared compressed run diverged from direct run")
+		t.Fatal("prepared run diverged from direct run")
 	}
 
-	// The artifact is bound to the compressed representation.
-	mismatch := RunConfig{Engine: ChGraph, Cores: 4, Iterations: 3, Prepared: pre}
-	if _, err := Run(g, "PR", mismatch); err == nil {
-		t.Fatal("compressed Prepared accepted by a raw run")
+	// The artifact is bound to the graph object it was built for.
+	if _, err := Run(orig, "PR", c); err == nil {
+		t.Fatal("Prepared accepted by a run on another graph object")
 	}
 
-	// Apply keeps the representation: the derived pair still runs compressed
-	// and still matches a from-scratch compressed run on the new graph.
+	// The derived pair still matches a from-scratch run on the new graph.
 	var batch Batch
 	batch.RemoveHyperedges(0)
 	batch.AddHyperedges([]uint32{0, 1, 2, 3})
@@ -86,6 +100,6 @@ func TestCompressedPreparedRoundTrip(t *testing.T) {
 		t.Fatalf("from-scratch Run on mutated graph: %v", err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("applied compressed artifacts diverged from from-scratch run")
+		t.Fatal("applied artifacts diverged from from-scratch run")
 	}
 }

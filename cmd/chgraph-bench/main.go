@@ -39,7 +39,6 @@ func main() {
 		algos    = flag.String("algos", "", "comma-separated algorithm subset (default: all six)")
 		parallel = flag.Int("parallel", 0, "max concurrently simulated cells (0 = auto)")
 		workers  = flag.Int("workers", 1, "host worker threads inside each cell (prep/compile); results are identical for every value")
-		comp     = flag.Bool("compressed", false, "run on the delta/varint-compressed CSR (bit-identical results, smaller adjacency footprint; bytes_per_edge in -metrics-out measures the compressed form)")
 		verbose  = flag.Bool("v", false, "log every simulated cell")
 		logLevel = flag.Int("loglevel", 0, "telemetry log level on stderr: 0 silent, 1 run, 2 +iterations, 3 +phases (implies -v)")
 
@@ -87,7 +86,7 @@ func main() {
 		defer func() { rtrace.Stop(); tf.Close() }()
 	}
 
-	cfg := bench.Config{Scale: *scale, Parallel: *parallel, Workers: *workers, Compressed: *comp}
+	cfg := bench.Config{Scale: *scale, Parallel: *parallel, Workers: *workers}
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
 	}

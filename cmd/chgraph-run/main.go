@@ -49,7 +49,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "host worker threads for prep/compile (0 = all CPUs, 1 = serial); results are identical for every value")
 		shards   = flag.Int("shards", 1, "shard count: >1 partitions the hypergraph and runs one engine per shard with a merge barrier between iterations")
 		shardPol = flag.String("shard-policy", "range", "partition policy: range (contiguous hyperedge ranges) or greedy (streaming replication-minimizing)")
-		comp     = flag.Bool("compressed", false, "execute on the delta/varint-compressed CSR (bit-identical results, smaller adjacency footprint)")
 		distWk   = flag.String("dist-workers", "", "comma-separated chgraph-worker addresses: run distributed, one shard per worker process (overrides -shards)")
 		mutate   = flag.String("mutate", "", `hyperedge batch to apply incrementally before running, e.g. "remove=0,5;add=0-1-2,3-4"`)
 
@@ -137,14 +136,6 @@ func main() {
 		Engine: kind, Cores: *cores, DMax: *dmax, WMin: uint32(*wmin),
 		IncludePreprocessing: *prep, Source: uint32(*source), Workers: *workers,
 		Observer: observer, Shards: *shards, ShardPolicy: *shardPol,
-		Compressed: *comp,
-	}
-	if *comp {
-		rawB, rawPE := g.Footprint(false)
-		compB, compPE := g.Footprint(true)
-		fmt.Printf("compressed adjacency: %.2f MB -> %.2f MB (%.2f -> %.2f bytes/edge, %.1f%% smaller)\n",
-			float64(rawB)/(1<<20), float64(compB)/(1<<20), rawPE, compPE,
-			100*(1-float64(compB)/float64(rawB)))
 	}
 	if *distWk != "" {
 		for _, a := range strings.Split(*distWk, ",") {

@@ -52,9 +52,10 @@ func (k *KCore) Init(s *State, frontierV bitset.Bitmap) {
 		s.HyperedgeVal[h] = float64(d)
 		k.aliveH[h] = d >= 2
 	}
+	hs := s.G.PackedV().NewCursor()
 	for v := uint32(0); v < nV; v++ {
 		var d float64
-		for _, h := range s.G.IncidentHyperedges(v) {
+		for _, h := range hs.List(v) {
 			if k.aliveH[h] {
 				d++
 			}

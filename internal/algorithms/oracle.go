@@ -13,8 +13,16 @@ import (
 // hardware-modelled ChGraph, HATS-V, prefetcher and reordering runs must all
 // reproduce the oracle outputs.
 
+// adjacency decodes g's two incidence sides once for an oracle's many
+// reads: incV(h) lists hyperedge h's vertices, incH(v) vertex v's
+// hyperedges.
+func adjacency(g *hypergraph.Bipartite) (incV, incH func(uint32) []uint32) {
+	return g.PackedH().Unpack().List, g.PackedV().Unpack().List
+}
+
 // OracleBFS returns vertex distances from src (one hyperedge hop = 1).
 func OracleBFS(g *hypergraph.Bipartite, src uint32) []float64 {
+	incV, incH := adjacency(g)
 	distV := make([]float64, g.NumVertices())
 	distH := make([]float64, g.NumHyperedges())
 	for i := range distV {
@@ -29,7 +37,7 @@ func OracleBFS(g *hypergraph.Bipartite, src uint32) []float64 {
 	for len(frontier) > 0 {
 		var nextH []uint32
 		for _, v := range frontier {
-			for _, h := range g.IncidentHyperedges(v) {
+			for _, h := range incH(v) {
 				if distV[v] < distH[h] {
 					distH[h] = distV[v]
 					nextH = append(nextH, h)
@@ -38,7 +46,7 @@ func OracleBFS(g *hypergraph.Bipartite, src uint32) []float64 {
 		}
 		var nextV []uint32
 		for _, h := range nextH {
-			for _, v := range g.IncidentVertices(h) {
+			for _, v := range incV(h) {
 				if distH[h]+1 < distV[v] {
 					distV[v] = distH[h] + 1
 					nextV = append(nextV, v)
@@ -53,6 +61,7 @@ func OracleBFS(g *hypergraph.Bipartite, src uint32) []float64 {
 // OraclePR returns vertex ranks after the given iterations of the
 // Algorithm 1 PageRank recurrence with damping alpha.
 func OraclePR(g *hypergraph.Bipartite, alpha float64, iterations int) []float64 {
+	incV, incH := adjacency(g)
 	nV := g.NumVertices()
 	nH := g.NumHyperedges()
 	vv := make([]float64, nV)
@@ -65,13 +74,13 @@ func OraclePR(g *hypergraph.Bipartite, alpha float64, iterations int) []float64 
 			hv[i] = 0
 		}
 		for v := uint32(0); v < nV; v++ {
-			for _, h := range g.IncidentHyperedges(v) {
+			for _, h := range incH(v) {
 				hv[h] += vv[v] / float64(g.VertexDegree(v))
 			}
 		}
 		next := make([]float64, nV)
 		for h := uint32(0); h < nH; h++ {
-			for _, v := range g.IncidentVertices(h) {
+			for _, v := range incV(h) {
 				next[v] += (1-alpha)/(float64(nV)*float64(g.VertexDegree(v))) + alpha*hv[h]/float64(g.HyperedgeDegree(h))
 			}
 		}
@@ -83,6 +92,7 @@ func OraclePR(g *hypergraph.Bipartite, alpha float64, iterations int) []float64 
 // OracleCC returns per-vertex component labels (the minimum vertex id
 // reachable through hyperedges).
 func OracleCC(g *hypergraph.Bipartite) []float64 {
+	incV := g.PackedH().Unpack().List
 	parent := make([]uint32, g.NumVertices())
 	for i := range parent {
 		parent[i] = uint32(i)
@@ -107,7 +117,7 @@ func OracleCC(g *hypergraph.Bipartite) []float64 {
 		}
 	}
 	for h := uint32(0); h < g.NumHyperedges(); h++ {
-		vs := g.IncidentVertices(h)
+		vs := incV(h)
 		for i := 1; i < len(vs); i++ {
 			union(vs[0], vs[i])
 		}
@@ -131,6 +141,7 @@ func OracleCC(g *hypergraph.Bipartite) []float64 {
 // OracleSSSP returns Dijkstra distances from src using the SSSP edge
 // weights.
 func OracleSSSP(g *hypergraph.Bipartite, src uint32) []float64 {
+	incV, incH := adjacency(g)
 	var alg SSSP
 	dist := make([]float64, g.NumVertices())
 	for i := range dist {
@@ -144,9 +155,9 @@ func OracleSSSP(g *hypergraph.Bipartite, src uint32) []float64 {
 		if it.d > dist[it.v] {
 			continue
 		}
-		for _, h := range g.IncidentHyperedges(it.v) {
+		for _, h := range incH(it.v) {
 			w := alg.Weight(h)
-			for _, u := range g.IncidentVertices(h) {
+			for _, u := range incV(h) {
 				if nd := it.d + w; nd < dist[u] {
 					dist[u] = nd
 					heap.Push(pq, distItem{u, nd})
@@ -179,18 +190,19 @@ func (h *distHeap) Pop() interface{} {
 // OracleKCore returns per-vertex coreness under the same peeling rule as
 // KCore (hyperedges die below two alive vertices; depth capped at kMax).
 func OracleKCore(g *hypergraph.Bipartite, kMax int) []float64 {
+	incV, incH := adjacency(g)
 	nV, nH := g.NumVertices(), g.NumHyperedges()
 	aliveV := make([]bool, nV)
 	aliveH := make([]bool, nH)
 	hCount := make([]int, nH)
 	vDeg := make([]int, nV)
 	for h := uint32(0); h < nH; h++ {
-		hCount[h] = len(g.IncidentVertices(h))
+		hCount[h] = len(incV(h))
 		aliveH[h] = hCount[h] >= 2
 	}
 	for v := uint32(0); v < nV; v++ {
 		aliveV[v] = true
-		for _, h := range g.IncidentHyperedges(v) {
+		for _, h := range incH(v) {
 			if aliveH[h] {
 				vDeg[v]++
 			}
@@ -207,14 +219,14 @@ func OracleKCore(g *hypergraph.Bipartite, kMax int) []float64 {
 				aliveV[v] = false
 				core[v] = float64(k - 1)
 				removed = true
-				for _, h := range g.IncidentHyperedges(v) {
+				for _, h := range incH(v) {
 					if !aliveH[h] {
 						continue
 					}
 					hCount[h]--
 					if hCount[h] < 2 {
 						aliveH[h] = false
-						for _, u := range g.IncidentVertices(h) {
+						for _, u := range incV(h) {
 							if aliveV[u] {
 								vDeg[u]--
 							}
@@ -248,6 +260,7 @@ func OracleKCore(g *hypergraph.Bipartite, kMax int) []float64 {
 // OracleBC returns single-source Brandes dependencies on the bipartite
 // level DAG (the quantity BC exposes as Centrality).
 func OracleBC(g *hypergraph.Bipartite, src uint32) []float64 {
+	incV, incH := adjacency(g)
 	nV, nH := g.NumVertices(), g.NumHyperedges()
 	src %= nV
 	levelV := make([]int32, nV)
@@ -267,7 +280,7 @@ func OracleBC(g *hypergraph.Bipartite, src uint32) []float64 {
 	for lvl := int32(0); len(frontier) > 0; lvl++ {
 		var hs []uint32
 		for _, v := range frontier {
-			for _, h := range g.IncidentHyperedges(v) {
+			for _, h := range incH(v) {
 				if levelH[h] < 0 {
 					levelH[h] = lvl
 					hs = append(hs, h)
@@ -279,7 +292,7 @@ func OracleBC(g *hypergraph.Bipartite, src uint32) []float64 {
 		}
 		var next []uint32
 		for _, h := range hs {
-			for _, v := range g.IncidentVertices(h) {
+			for _, v := range incV(h) {
 				if levelV[v] < 0 {
 					levelV[v] = lvl + 1
 					next = append(next, v)
@@ -298,14 +311,14 @@ func OracleBC(g *hypergraph.Bipartite, src uint32) []float64 {
 	deltaH := make([]float64, nH)
 	for li := len(levels) - 1; li >= 1; li-- {
 		for _, v := range levels[li] {
-			for _, h := range g.IncidentHyperedges(v) {
+			for _, h := range incH(v) {
 				if levelH[h] == levelV[v]-1 && sigmaV[v] > 0 {
 					deltaH[h] += sigmaH[h] / sigmaV[v] * (1 + deltaV[v])
 				}
 			}
 		}
 		for _, v := range levels[li-1] {
-			for _, h := range g.IncidentHyperedges(v) {
+			for _, h := range incH(v) {
 				if levelH[h] == levelV[v] && sigmaH[h] > 0 {
 					deltaV[v] += sigmaV[v] / sigmaH[h] * deltaH[h]
 				}
@@ -321,6 +334,7 @@ func OracleBC(g *hypergraph.Bipartite, src uint32) []float64 {
 // undecided vertices remain, no hyperedge contains two selected vertices,
 // and every excluded vertex shares a hyperedge with a selected one.
 func ValidateMIS(g *hypergraph.Bipartite, vertexVal []float64) error {
+	incV, incH := adjacency(g)
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		if vertexVal[v] == MISUndecided {
 			return fmt.Errorf("mis: vertex %d undecided", v)
@@ -328,7 +342,7 @@ func ValidateMIS(g *hypergraph.Bipartite, vertexVal []float64) error {
 	}
 	for h := uint32(0); h < g.NumHyperedges(); h++ {
 		in := -1
-		for _, v := range g.IncidentVertices(h) {
+		for _, v := range incV(h) {
 			if vertexVal[v] == MISIn {
 				if in >= 0 {
 					return fmt.Errorf("mis: hyperedge %d contains selected vertices %d and %d", h, in, v)
@@ -343,8 +357,8 @@ func ValidateMIS(g *hypergraph.Bipartite, vertexVal []float64) error {
 		}
 		ok := false
 	outer:
-		for _, h := range g.IncidentHyperedges(v) {
-			for _, u := range g.IncidentVertices(h) {
+		for _, h := range incH(v) {
+			for _, u := range incV(h) {
 				if u != v && vertexVal[u] == MISIn {
 					ok = true
 					break outer

@@ -97,10 +97,7 @@ func ValueReuseProfile(g *hypergraph.Bipartite, schedule []uint32, side Side, bo
 	if len(bounds) == 0 {
 		bounds = DefaultBounds
 	}
-	neighbors := g.IncidentVertices
-	if side == Vertices {
-		neighbors = g.IncidentHyperedges
-	}
+	neighbors := sideLists(g, side)
 	p := &StackProfile{Bounds: append([]int{}, bounds...), Buckets: make([]uint64, len(bounds))}
 	ls := &lruStack{limit: bounds[len(bounds)-1] * 2}
 	for _, e := range schedule {
@@ -120,6 +117,15 @@ func ValueReuseProfile(g *hypergraph.Bipartite, schedule []uint32, side Side, bo
 		}
 	}
 	return p
+}
+
+// sideLists decodes the incidence side a schedule of side's elements
+// reads, once, for a whole-schedule pass.
+func sideLists(g *hypergraph.Bipartite, side Side) func(uint32) []uint32 {
+	if side == Vertices {
+		return g.PackedV().Unpack().List
+	}
+	return g.PackedH().Unpack().List
 }
 
 // Side selects which side the schedule enumerates.
@@ -160,10 +166,7 @@ type OverlapStats struct {
 
 // ScheduleOverlap measures consecutive overlap for a schedule.
 func ScheduleOverlap(g *hypergraph.Bipartite, schedule []uint32, side Side) OverlapStats {
-	neighbors := g.IncidentVertices
-	if side == Vertices {
-		neighbors = g.IncidentHyperedges
-	}
+	neighbors := sideLists(g, side)
 	var st OverlapStats
 	var totalAcc, reusable uint64
 	prev := map[uint32]struct{}{}
@@ -202,10 +205,7 @@ func ScheduleOverlap(g *hypergraph.Bipartite, schedule []uint32, side Side) Over
 // FootprintLines returns the number of distinct value-array cache lines a
 // schedule touches (8 values per line) — the compulsory-miss floor.
 func FootprintLines(g *hypergraph.Bipartite, schedule []uint32, side Side) int {
-	neighbors := g.IncidentVertices
-	if side == Vertices {
-		neighbors = g.IncidentHyperedges
-	}
+	neighbors := sideLists(g, side)
 	lines := map[uint64]struct{}{}
 	for _, e := range schedule {
 		for _, d := range neighbors(e) {

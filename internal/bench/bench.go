@@ -38,13 +38,6 @@ type Config struct {
 	// value. 0 defaults to 1: sessions already parallelize across cells,
 	// so intra-cell workers would oversubscribe the host.
 	Workers int
-	// Compressed runs the whole session on the delta/varint-compressed CSR:
-	// every dataset is compressed at load, engines take the streaming-decode
-	// path, and the footprint metrics (adjacency_bytes, bytes_per_edge)
-	// measure the compressed form. Results are bit-identical to a raw
-	// session — that is the representation contract the bench gate leans on
-	// when it compares a compressed session against a raw baseline's cycles.
-	Compressed bool
 	// Datasets restricts the dataset list (nil = all five).
 	Datasets []string
 	// Algos restricts the algorithm list (nil = all six).
@@ -139,9 +132,6 @@ func (s *Session) Dataset(name string) *hypergraph.Bipartite {
 		g = gen.MustLoadGraph(name, s.cfg.Scale)
 	} else {
 		g = gen.MustLoad(name, s.cfg.Scale)
-	}
-	if s.cfg.Compressed {
-		g = g.Compress()
 	}
 	s.data[name] = g
 	if s.cfg.Metrics != nil {
@@ -391,11 +381,6 @@ func (s *Session) reordered(name string) *hypergraph.Bipartite {
 	res, err := reorderVertices(g)
 	if err != nil {
 		panic(err)
-	}
-	if s.cfg.Compressed {
-		// Derived variants keep the session representation (but are not
-		// re-counted in the dataset footprint totals).
-		res = res.Compress()
 	}
 	s.mu.Lock()
 	s.data[key] = res

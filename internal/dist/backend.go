@@ -191,7 +191,6 @@ func (b *remoteBackend) handshake(ctx context.Context) error {
 	hdr, err := json.Marshal(prepareRequest{
 		Session: session, Shard: b.shardID, Iter: b.iter,
 		Options: b.wopts, ChargePreprocess: b.chargePre, Observe: b.observe,
-		Compressed: b.sh.G.Compressed(),
 	})
 	if err != nil {
 		return err

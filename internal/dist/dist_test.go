@@ -151,26 +151,6 @@ func TestDistMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestDistCompressedMatchesRaw runs a compressed graph through real HTTP
-// workers (shipping the flag-2 compressed blob over /prepare) and requires
-// bit-identity with the raw distributed run — the representation contract
-// crosses the process boundary.
-func TestDistCompressedMatchesRaw(t *testing.T) {
-	addrs := startHTTPWorkers(t, 3)
-	g := smallHG(7)
-	comp := g.Compress()
-	eo := engine.Options{Kind: engine.ChGraph, Sys: testSys()}
-	want, err := RunCtx(context.Background(), g, algorithms.NewPageRank(5), fastOpts(addrs, "", eo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunCtx(context.Background(), comp, algorithms.NewPageRank(5), fastOpts(addrs, "", eo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, got, want)
-}
-
 func TestDistChargePreprocess(t *testing.T) {
 	addrs := startHTTPWorkers(t, 2)
 	g := smallHG(11)

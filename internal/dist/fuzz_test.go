@@ -19,8 +19,7 @@ func prepareBody(tb testing.TB, req prepareRequest, g *hypergraph.Bipartite) []b
 
 // FuzzPrepareDecode feeds arbitrary /prepare bodies through the worker's
 // decode path (header split, JSON header, graph codec): it must never
-// panic, and any graph it accepts must be internally consistent and in the
-// representation the header asks for.
+// panic, and any graph it accepts must be internally consistent.
 func FuzzPrepareDecode(f *testing.F) {
 	tiny := hypergraph.MustBuild(3, [][]uint32{{0, 1}, {1, 2}})
 	directed, err := hypergraph.BuildDirected(4, [][]uint32{{0, 1}, {2}}, [][]uint32{{2, 3}, {0}})
@@ -28,7 +27,9 @@ func FuzzPrepareDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(prepareBody(f, prepareRequest{Session: "s"}, tiny))
-	f.Add(prepareBody(f, prepareRequest{Session: "s", Compressed: true}, tiny.Compress()))
+	// A header from a coordinator that still sent the retired
+	// "compressed" field: unknown fields are ignored.
+	f.Add(append(appendHeader(nil, []byte(`{"session":"s","compressed":true}`)), hypergraph.AppendCompressed(nil, tiny)...))
 	f.Add(prepareBody(f, prepareRequest{Session: "s", Shard: 1, Iter: 2}, directed))
 	f.Add(appendHeader(nil, []byte(`{"session":"s"}`)))
 	f.Add([]byte{})
@@ -36,15 +37,12 @@ func FuzzPrepareDecode(f *testing.F) {
 		if len(body) > 1<<14 {
 			t.Skip()
 		}
-		req, g, err := decodePrepare(body)
+		_, g, err := decodePrepare(body)
 		if err != nil {
 			return
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted an inconsistent graph: %v", err)
-		}
-		if g.Compressed() != req.Compressed {
-			t.Fatalf("decoded compressed=%v, header asked for %v", g.Compressed(), req.Compressed)
 		}
 	})
 }

@@ -106,10 +106,6 @@ type prepareRequest struct {
 	// Observe asks the worker to capture per-phase snapshots and return
 	// them in commit replies.
 	Observe bool `json:"observe"`
-	// Compressed mirrors the coordinator's representation: the worker's
-	// engine runs the packed graph as decoded, and otherwise decompresses
-	// it first, so each worker runs what the in-process shard runs.
-	Compressed bool `json:"compressed"`
 }
 
 type prepareReply struct {
@@ -172,8 +168,7 @@ func splitHeader(body []byte) (hdr, payload []byte, err error) {
 }
 
 // decodePrepare splits a /prepare body into its JSON header and its shard
-// graph, decompressed unless the header says the coordinator runs
-// compressed.
+// graph, which the worker's engine runs as decoded.
 func decodePrepare(body []byte) (prepareRequest, *hypergraph.Bipartite, error) {
 	var req prepareRequest
 	hdr, payload, err := splitHeader(body)
@@ -189,9 +184,6 @@ func decodePrepare(body []byte) (prepareRequest, *hypergraph.Bipartite, error) {
 	g, err := hypergraph.DecodeCompressed(payload)
 	if err != nil {
 		return req, nil, fmt.Errorf("dist: shard graph: %w", err)
-	}
-	if !req.Compressed {
-		g = g.Decompress()
 	}
 	return req, g, nil
 }

@@ -3,65 +3,63 @@ package engine
 import (
 	"reflect"
 	"testing"
+
+	"chgraph/internal/hypergraph"
 )
 
-// TestGoldenCompressedEquivalence pins the tentpole contract of the
-// compressed representation: for every engine kind and golden algorithm, a
-// run over the compressed-only graph must be bit-identical to the raw run —
-// same cycles, same per-array memory traffic, same chain schedules, same
-// final float bits. Offsets stay uncompressed, so every simulated address is
-// computed from the same logical CSR entry index either way; this test is
-// what keeps that invariant honest.
-func TestGoldenCompressedEquivalence(t *testing.T) {
-	raw := smallHG(11)
-	comp := raw.Compress()
-	if !comp.Compressed() {
-		t.Fatal("Compress() did not produce a compressed-only graph")
+// codecCopy returns g as a dist worker or a file reader holds it: decoded
+// from the CHG2 codec, payload kept verbatim.
+func codecCopy(t *testing.T, g *hypergraph.Bipartite) *hypergraph.Bipartite {
+	t.Helper()
+	c, err := hypergraph.DecodeCompressed(hypergraph.AppendCompressed(nil, g))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return c
+}
+
+// TestGoldenCompressedEquivalence: a graph that went through the compressed
+// codec runs bit-identically to the graph it was encoded from — same
+// cycles, per-array memory traffic, chain schedules and final float bits —
+// for every engine kind and golden algorithm, serial and parallel. The
+// engines decode incidence lists through cursors and take every simulated
+// address from the plain offsets, so nothing may depend on which graph
+// object holds the payload.
+func TestGoldenCompressedEquivalence(t *testing.T) {
+	g := smallHG(11)
+	dec := codecCopy(t, g)
 	for _, kind := range allKinds {
 		for algName, mk := range goldenAlgorithms() {
-			r1, err := Run(raw, mk(), Options{Kind: kind, Sys: testSys(), Workers: 1})
+			r1, err := Run(g, mk(), Options{Kind: kind, Sys: testSys(), Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := Run(comp, mk(), Options{Kind: kind, Sys: testSys(), Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// State.G is the input graph object itself and differs by
-			// construction; every derived value must still match.
-			r1.State.G, r2.State.G = nil, nil
-			if !reflect.DeepEqual(r1, r2) {
-				t.Errorf("%v/%s: compressed run diverged from raw", kind, algName)
-			}
-			if entryOf(r1) != entryOf(r2) {
-				t.Errorf("%v/%s: golden projection differs under compression", kind, algName)
-			}
-			// Parallel compile over the compressed form must agree too (the
-			// per-core cursors are the only added state).
-			r4, err := Run(comp, mk(), Options{Kind: kind, Sys: testSys(), Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r4.State.G = nil
-			if !reflect.DeepEqual(r2, r4) {
-				t.Errorf("%v/%s: compressed Workers=4 diverged from Workers=1", kind, algName)
+			for _, workers := range []int{1, 4} {
+				r2, err := Run(dec, mk(), Options{Kind: kind, Sys: testSys(), Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// State.G is the input graph object itself and differs by
+				// construction; every derived value must still match.
+				r2.State.G = g
+				if !reflect.DeepEqual(r1, r2) {
+					t.Errorf("%v/%s Workers=%d: run on the decoded copy diverged", kind, algName, workers)
+				}
 			}
 		}
 	}
 }
 
-// TestCompressedPrepEquivalence checks Prepare over the compressed graph
-// builds the same chunks and OAGs as over the raw one.
+// TestCompressedPrepEquivalence checks Prepare over the codec-decoded copy
+// builds the same chunks and OAGs as over the original.
 func TestCompressedPrepEquivalence(t *testing.T) {
-	raw := smallHG(7)
-	comp := raw.Compress()
-	pr := Prepare(raw, 4, 2)
-	pc := Prepare(comp, 4, 2)
+	g := smallHG(7)
+	pr := Prepare(g, 4, 2)
+	pc := Prepare(codecCopy(t, g), 4, 2)
 	if !pr.VOAG.Equal(pc.VOAG) || !pr.HOAG.Equal(pc.HOAG) {
-		t.Fatal("Prepare over the compressed graph built different OAGs")
+		t.Fatal("Prepare over the decoded copy built different OAGs")
 	}
 	if !reflect.DeepEqual(pr.VChunks, pc.VChunks) || !reflect.DeepEqual(pr.HChunks, pc.HChunks) {
-		t.Fatal("Prepare over the compressed graph built different chunks")
+		t.Fatal("Prepare over the decoded copy built different chunks")
 	}
 }

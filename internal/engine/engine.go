@@ -495,55 +495,44 @@ type phaseSpec struct {
 	srcValArr    trace.Array
 	dstValArr    trace.Array
 	offset       func(uint32) uint32
-	neighbors    func(uint32) []uint32
+	// adj holds the src side's incidence lists, which the compile passes
+	// decode through per-core cursors (coreScratch.adjCur). The simulated
+	// address stream comes from the plain offsets: an entry's logical CSR
+	// index is offset+position.
+	adj *hypergraph.PackedAdj
 	// Back direction (dst side CSR), used by HATS-V's 2-hop probing.
-	backOffArr    trace.Array
-	backIncArr    trace.Array
-	backOffset    func(uint32) uint32
-	backNeighbors func(uint32) []uint32
-	// packed/backPacked are set when the graph is compressed-only: the
-	// compile passes then decode incidence lists through per-core cursors
-	// (coreScratch.nbrs) instead of the plain accessors, which would
-	// allocate a fresh slice per call. The simulated address stream is
-	// unchanged — offsets stay uncompressed, so logical CSR entry indexes
-	// (offset+position) are identical either way.
-	packed, backPacked *hypergraph.PackedAdj
+	backOffArr trace.Array
+	backIncArr trace.Array
+	backOffset func(uint32) uint32
+	back       *hypergraph.PackedAdj
 }
 
 // vertexPhase is the hyperedge-computation phase (src = vertices).
 func vertexPhase(g *hypergraph.Bipartite, prep *Prep, frontier, next bitset.Bitmap) *phaseSpec {
-	ph := &phaseSpec{
+	return &phaseSpec{
 		srcN: g.NumVertices(), dstN: g.NumHyperedges(),
 		chunks: prep.VChunks, og: prep.VOAG,
 		frontier: frontier, next: next,
 		srcBm: bmVertex, dstBm: bmHyperedge,
 		offArr: trace.VertexOffset, incArr: trace.IncidentHyperedge,
 		srcValArr: trace.VertexValue, dstValArr: trace.HyperedgeValue,
-		offset: g.VertexOffset, neighbors: g.IncidentHyperedges,
+		offset: g.VertexOffset, adj: g.PackedV(),
 		backOffArr: trace.HyperedgeOffset, backIncArr: trace.IncidentVertex,
-		backOffset: g.HyperedgeOffset, backNeighbors: g.IncidentVertices,
+		backOffset: g.HyperedgeOffset, back: g.PackedH(),
 	}
-	if g.Compressed() {
-		ph.packed, ph.backPacked = g.PackedV(), g.PackedH()
-	}
-	return ph
 }
 
 // hyperedgePhase is the vertex-computation phase (src = hyperedges).
 func hyperedgePhase(g *hypergraph.Bipartite, prep *Prep, frontier, next bitset.Bitmap) *phaseSpec {
-	ph := &phaseSpec{
+	return &phaseSpec{
 		srcN: g.NumHyperedges(), dstN: g.NumVertices(),
 		chunks: prep.HChunks, og: prep.HOAG,
 		frontier: frontier, next: next,
 		srcBm: bmHyperedge, dstBm: bmVertex,
 		offArr: trace.HyperedgeOffset, incArr: trace.IncidentVertex,
 		srcValArr: trace.HyperedgeValue, dstValArr: trace.VertexValue,
-		offset: g.HyperedgeOffset, neighbors: g.IncidentVertices,
+		offset: g.HyperedgeOffset, adj: g.PackedH(),
 		backOffArr: trace.VertexOffset, backIncArr: trace.IncidentHyperedge,
-		backOffset: g.VertexOffset, backNeighbors: g.IncidentHyperedges,
+		backOffset: g.VertexOffset, back: g.PackedV(),
 	}
-	if g.Compressed() {
-		ph.packed, ph.backPacked = g.PackedH(), g.PackedV()
-	}
-	return ph
 }

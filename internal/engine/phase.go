@@ -439,7 +439,7 @@ func (r *runner) compileHygra(ph *phaseSpec, coreID int, prefetch bool) *compile
 			pfOps = append(pfOps, trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Flags: trace.FlagPrefetch | trace.FlagL2})
 		}
 		base := ph.offset(e)
-		for i, d := range sc.nbrs(ph, e) {
+		for i, d := range sc.adjCur.List(e) {
 			if prefetch {
 				pfOps = append(pfOps,
 					trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr, Flags: trace.FlagPrefetch | trace.FlagL2},
@@ -525,7 +525,7 @@ func (r *runner) compileGLA(ph *phaseSpec, coreID int, cs core.ChainSet, replaye
 			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Compute: c.Element},
 			trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr})
 		base := ph.offset(e)
-		for i, d := range sc.nbrs(ph, e) {
+		for i, d := range sc.adjCur.List(e) {
 			ops = append(ops,
 				trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr, Compute: c.SWLoad},
 				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: c.Apply})
@@ -625,7 +625,7 @@ func (r *runner) compileChGraph(ph *phaseSpec, coreID int, cs core.ChainSet, rep
 				trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Flags: trace.FlagL2, Compute: c.HWStage},
 				trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr, Flags: trace.FlagL2, Compute: c.HWStage})
 			base := ph.offset(e)
-			for i, d := range sc.nbrs(ph, e) {
+			for i, d := range sc.adjCur.List(e) {
 				cpOps = append(cpOps,
 					trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr, Flags: trace.FlagL2, Compute: c.HWStage},
 					trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Flags: trace.FlagL2 | trace.FlagPushTuple, Compute: c.HWStage})
@@ -662,7 +662,7 @@ func (r *runner) compileChGraph(ph *phaseSpec, coreID int, cs core.ChainSet, rep
 			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr},
 			trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr})
 		base := ph.offset(e)
-		for i, d := range sc.nbrs(ph, e) {
+		for i, d := range sc.adjCur.List(e) {
 			coreOps = append(coreOps,
 				trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr},
 				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: c.Apply})
@@ -696,13 +696,9 @@ func (r *runner) compileHATSV(ph *phaseSpec, coreID int) *compiledCore {
 	vis := &sc.hv
 	vis.ops, vis.ph, vis.c = vis.ops[:0], ph, c
 	sc.frontier.CopyFrom(ph.frontier)
-	nbrs, back := ph.neighbors, ph.backNeighbors
-	if ph.packed != nil {
-		nbrs, back = sc.hatsNbrs, sc.hatsBack
-	}
 	sched := hats.GenerateInto(sc.sched, hats.Input{
-		Offset: ph.offset, Neighbors: nbrs,
-		BackOffset: ph.backOffset, BackNeighbors: back,
+		Offset: ph.offset, Neighbors: sc.hatsNbrs,
+		BackOffset: ph.backOffset, BackNeighbors: sc.hatsBack,
 		Lo: ch.Lo, Hi: ch.Hi, Active: sc.frontier, DMax: r.opt.DMax,
 	}, vis)
 	sc.sched = sched
@@ -724,7 +720,7 @@ func (r *runner) compileHATSV(ph *phaseSpec, coreID int) *compiledCore {
 			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr},
 			trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr})
 		base := ph.offset(e)
-		for i, d := range sc.nbrs(ph, e) {
+		for i, d := range sc.adjCur.List(e) {
 			coreOps = append(coreOps,
 				trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr},
 				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: c.Apply})

@@ -86,14 +86,13 @@ type coreScratch struct {
 	agentBuf     [3]system.Agent
 	fifoA, fifoB *system.FIFO
 
-	// adjCur/backCur decode compressed incidence lists for the compile
-	// passes; hatsNbrs/hatsBack are prebuilt closures handing the cursors
-	// to hats.GenerateInto without a per-phase allocation. Two cursors, not
-	// one: HATS probing holds a forward list while it walks back lists, and
-	// a cursor's List result dies on its next List call. The fields are
-	// pointers created lazily (like fifos) because growing the cores slice
-	// copies the structs — value cursors captured by the closures would
-	// dangle.
+	// adjCur/backCur decode the phase's incidence lists for the compile
+	// passes; hatsNbrs/hatsBack are their List method values, bound once so
+	// handing them to hats.GenerateInto costs no per-phase allocation. Two
+	// cursors, not one: HATS probing holds a forward list while it walks
+	// back lists, and a cursor's List result dies on its next List call.
+	// The cursors are pointers because growing the cores slice copies the
+	// structs, and the method values must keep pointing at the live ones.
 	adjCur, backCur    *hypergraph.AdjCursor
 	hatsNbrs, hatsBack func(uint32) []uint32
 
@@ -113,15 +112,19 @@ type coreNames struct {
 func (s *runScratch) ensure(n int) {
 	for len(s.cores) < n {
 		i := len(s.cores)
-		s.cores = append(s.cores, coreScratch{names: coreNames{
-			core:  fmt.Sprintf("core%d", i),
-			hcg:   fmt.Sprintf("hcg%d", i),
-			cp:    fmt.Sprintf("cp%d", i),
-			pf:    fmt.Sprintf("pf%d", i),
-			hats:  fmt.Sprintf("hats%d", i),
-			chain: fmt.Sprintf("chain%d", i),
-			bedge: fmt.Sprintf("bedge%d", i),
-		}})
+		adj, back := &hypergraph.AdjCursor{}, &hypergraph.AdjCursor{}
+		s.cores = append(s.cores, coreScratch{
+			adjCur: adj, backCur: back, hatsNbrs: adj.List, hatsBack: back.List,
+			names: coreNames{
+				core:  fmt.Sprintf("core%d", i),
+				hcg:   fmt.Sprintf("hcg%d", i),
+				cp:    fmt.Sprintf("cp%d", i),
+				pf:    fmt.Sprintf("pf%d", i),
+				hats:  fmt.Sprintf("hats%d", i),
+				chain: fmt.Sprintf("chain%d", i),
+				bedge: fmt.Sprintf("bedge%d", i),
+			},
+		})
 	}
 }
 
@@ -134,31 +137,12 @@ func (sc *coreScratch) fifos() (*system.FIFO, *system.FIFO) {
 	return sc.fifoA, sc.fifoB
 }
 
-// bindCursors points the core's decode cursors at the phase's packed sides.
-// A no-op for raw graphs; for compressed ones every compile function calls
-// it on entry, because consecutive phases pack opposite directions.
+// bindCursors points the core's decode cursors at the phase's incidence
+// sides. Every compile function calls it on entry, because consecutive
+// phases read opposite directions.
 func (sc *coreScratch) bindCursors(ph *phaseSpec) {
-	if ph.packed == nil {
-		return
-	}
-	if sc.adjCur == nil {
-		sc.adjCur, sc.backCur = &hypergraph.AdjCursor{}, &hypergraph.AdjCursor{}
-		ac, bc := sc.adjCur, sc.backCur
-		sc.hatsNbrs = func(e uint32) []uint32 { return ac.List(e) }
-		sc.hatsBack = func(e uint32) []uint32 { return bc.List(e) }
-	}
-	sc.adjCur.Bind(ph.packed)
-	sc.backCur.Bind(ph.backPacked)
-}
-
-// nbrs returns src element e's incidence list for compilation: the raw CSR
-// slice, or the cursor-decoded compressed list (valid until the next nbrs
-// call on this core — every compile loop consumes it before advancing).
-func (sc *coreScratch) nbrs(ph *phaseSpec, e uint32) []uint32 {
-	if ph.packed == nil {
-		return ph.neighbors(e)
-	}
-	return sc.adjCur.List(e)
+	sc.adjCur.Bind(ph.adj)
+	sc.backCur.Bind(ph.back)
 }
 
 // invalidate drops the chain cache's validity (buffers are kept). Called

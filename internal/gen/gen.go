@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"chgraph/internal/hypergraph"
 )
@@ -334,10 +335,13 @@ func Generate(cfg Config) (*hypergraph.Bipartite, error) {
 	if id != cfg.NumV {
 		return nil, fmt.Errorf("gen %q: id layout mismatch (%d != %d)", cfg.Name, id, cfg.NumV)
 	}
+	// Sorting each pin list here, as standard CSR construction orders
+	// adjacency, lets Build pack the final lists once.
 	for _, members := range hyperedges {
 		for i, v := range members {
 			members[i] = handleToID[v]
 		}
+		slices.Sort(members)
 	}
 
 	// 6. Hyperedge id shuffle within each region.
@@ -346,12 +350,7 @@ func Generate(cfg Config) (*hypergraph.Bipartite, error) {
 		rng.Shuffle(len(sub), func(i, j int) { sub[i], sub[j] = sub[j], sub[i] })
 	}
 
-	g, err := hypergraph.Build(cfg.NumV, hyperedges)
-	if err != nil {
-		return nil, err
-	}
-	g.SortAdjacency()
-	return g, nil
+	return hypergraph.Build(cfg.NumV, hyperedges)
 }
 
 // MustGenerate is Generate but panics on error.

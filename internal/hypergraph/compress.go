@@ -1,21 +1,24 @@
-// Compressed adjacency (delta/varint CSR). The ROADMAP's raw-speed item
-// calls for the big synthetic recipes to fit hotter in cache: the incidence
-// arrays dominate the bipartite CSR's footprint, and their entries are
-// small deltas once adjacency is sorted. PackedAdj stores each incidence
-// list as zigzag(delta) LEB128 varints with a block table for random
-// access; the entry-offset arrays (hOff/vOff) are kept uncompressed, which
-// is what makes compressed execution bit-identical to raw execution — the
-// engines model incidence-array addresses from logical CSR entry indexes
-// (offset + position), and those indexes never change, only the bytes
-// backing the values.
+// Packed adjacency (delta/varint CSR): the one in-memory form of a
+// Bipartite's incidence lists. The incidence arrays dominate the bipartite
+// CSR's footprint, and their entries are small deltas once adjacency is
+// sorted, so PackedAdj stores each list as zigzag(delta) LEB128 varints with
+// a block table for random access. The entry-offset arrays (hOff/vOff) stay
+// uncompressed: the engines model incidence-array addresses from logical CSR
+// entry indexes (offset + position), which the encoding never changes, so
+// the simulated address stream is that of the paper's plain CSR.
 //
-// Ownership and pooling (DESIGN.md §17): PackedAdj is immutable after
-// construction. All decoding goes through AdjCursor, whose scratch buffer
-// grows to the longest list it has seen and is then reused forever — the
-// engine parks one cursor per direction in each core's reuse arena, so
-// steady-state iteration stays allocation-free (the §13 arena rules).
-// Slices returned by AdjCursor.List are valid only until the cursor's next
-// List call.
+// Readers take one of two paths (DESIGN.md §17):
+//
+//   - streaming: an AdjCursor decodes one list at a time into a grow-only
+//     owned buffer. The engine parks one cursor per direction in each core's
+//     reuse arena, so steady-state iteration stays allocation-free (the §13
+//     arena rules); index-order passes such as partitioning use one too. A
+//     List result is valid only until the cursor's next List call.
+//   - decode-once: bulk builders that read every list, often out of order
+//     (OAG construction, shard materialization, the oracles), call Unpack
+//     for a transient flat array, use it for the build and drop it.
+//
+// PackedAdj is immutable after construction.
 package hypergraph
 
 import (
@@ -23,7 +26,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
+	"math/bits"
+	"slices"
 )
 
 // packBlock is the block-table granularity: the byte offset of every
@@ -31,60 +35,90 @@ import (
 // most packBlock-1 lists' worth of varints.
 const packBlock = 64
 
-// PackedAdj is one compressed incidence direction: each list's entries are
-// encoded as zigzag(delta) LEB128 varints (delta against the previous entry,
-// starting from 0 at each list head). off is the uncompressed CSR
-// entry-offset array (aliasing the owning Bipartite's hOff or vOff); blk
-// holds the data byte offset of every packBlock-th list.
+// PackedAdj is one incidence direction: each list's entries are encoded as
+// zigzag(delta) LEB128 varints (delta against the previous entry, starting
+// from 0 at each list head). off is the uncompressed CSR entry-offset array
+// (aliasing the owning Bipartite's hOff or vOff); blk holds the data byte
+// offset of every packBlock-th list. sorted records that every list is in
+// ascending order, so SortAdjacency can skip the re-pack.
 type PackedAdj struct {
-	off  []uint32
-	blk  []uint32
-	data []byte
+	off    []uint32
+	blk    []uint32
+	data   []byte
+	sorted bool
 }
 
-// packAdjacency compresses one CSR side. off is retained by reference.
+// zigzag maps the delta from prev to v onto an unsigned varint value.
+func zigzag(prev, v uint32) uint64 {
+	delta := int64(v) - int64(prev)
+	return uint64(delta<<1) ^ uint64(delta>>63)
+}
+
+// packAdjacency encodes one CSR side. off is retained by reference; adj is
+// only read. A sizing pass first makes the payload allocation exact.
 func packAdjacency(off, adj []uint32) *PackedAdj {
 	n := len(off) - 1
-	p := &PackedAdj{off: off}
+	p := &PackedAdj{off: off, sorted: true}
+	size := 0
+	for i := 0; i < n; i++ {
+		var prev uint32
+		for _, v := range adj[off[i]:off[i+1]] {
+			if v < prev {
+				p.sorted = false
+			}
+			size += varintLen(zigzag(prev, v))
+			prev = v
+		}
+	}
 	if n > 0 {
 		p.blk = make([]uint32, (n+packBlock-1)/packBlock)
 	}
-	p.data = make([]byte, 0, len(adj)*2)
+	p.data = make([]byte, 0, size)
 	for i := 0; i < n; i++ {
 		if i%packBlock == 0 {
 			p.blk[i/packBlock] = uint32(len(p.data))
 		}
 		var prev uint32
 		for _, v := range adj[off[i]:off[i+1]] {
-			delta := int64(v) - int64(prev)
-			uz := uint64(delta<<1) ^ uint64(delta>>63)
-			for uz >= 0x80 {
-				p.data = append(p.data, byte(uz)|0x80)
-				uz >>= 7
-			}
-			p.data = append(p.data, byte(uz))
+			p.data = binary.AppendUvarint(p.data, zigzag(prev, v))
 			prev = v
 		}
 	}
 	return p
 }
 
+// varintLen returns the LEB128 encoded length of x.
+func varintLen(x uint64) int {
+	n := 1
+	for x >= 0x80 {
+		x >>= 7
+		n++
+	}
+	return n
+}
+
 // NumLists returns the number of encoded lists.
 func (p *PackedAdj) NumLists() int { return len(p.off) - 1 }
 
-// DataBytes returns the size of the varint payload.
-func (p *PackedAdj) DataBytes() int { return len(p.data) }
-
 // start returns the data byte offset of list i's first varint: seek to the
-// enclosing block's start, then skip the intervening lists' varints (one
-// terminator byte — high bit clear — per entry).
+// enclosing block's start, then skip the intervening lists' entries.
 func (p *PackedAdj) start(i int) int {
-	pos := int(p.blk[i/packBlock])
-	skip := int(p.off[i] - p.off[i&^(packBlock-1)])
+	return p.skip(int(p.blk[i/packBlock]), int(p.off[i]-p.off[i&^(packBlock-1)]))
+}
+
+// skip returns the byte offset n varints past pos. Each varint ends in one
+// terminator byte (high bit clear), so it counts terminators, a word at a
+// time while more than eight remain: a word then holds fewer than n, so its
+// trailing continuation bytes belong to a varint that is skipped too.
+func (p *PackedAdj) skip(pos, n int) int {
 	data := p.data
-	for skip > 0 {
+	for n > 8 && pos+8 <= len(data) {
+		n -= 8 - bits.OnesCount64(binary.LittleEndian.Uint64(data[pos:])&0x8080808080808080)
+		pos += 8
+	}
+	for n > 0 {
 		if data[pos]&0x80 == 0 {
-			skip--
+			n--
 		}
 		pos++
 	}
@@ -95,37 +129,77 @@ func (p *PackedAdj) start(i int) int {
 // have length n), returning the byte position after the last varint.
 func (p *PackedAdj) decodeFrom(pos, n int, dst []uint32) int {
 	data := p.data
+	dst = dst[:n]
 	var prev uint32
-	for k := 0; k < n; k++ {
-		var uz uint64
-		var shift uint
-		for {
-			b := data[pos]
-			pos++
-			uz |= uint64(b&0x7f) << shift
-			if b&0x80 == 0 {
-				break
+	for k := range dst {
+		uz := uint64(data[pos])
+		pos++
+		if uz >= 0x80 {
+			// Multi-byte varint (payloads are validated at decode time).
+			uz &= 0x7f
+			for shift := uint(7); ; shift += 7 {
+				b := data[pos]
+				pos++
+				uz |= uint64(b&0x7f) << shift
+				if b < 0x80 {
+					break
+				}
 			}
-			shift += 7
 		}
-		delta := int64(uz>>1) ^ -int64(uz&1)
-		prev = uint32(int64(prev) + delta)
+		// zigzag decode, added in uint32 arithmetic (wraps like int64).
+		prev += uint32(uz>>1) ^ -uint32(uz&1)
 		dst[k] = prev
 	}
 	return pos
 }
 
-// decodeList decodes list i into a fresh (or supplied) slice. It is the
-// allocation-per-call fallback behind the plain accessors of a compressed
-// graph; hot paths use an AdjCursor instead.
-func (p *PackedAdj) decodeList(i uint32, dst []uint32) []uint32 {
-	n := int(p.off[i+1] - p.off[i])
-	if cap(dst) < n {
-		dst = make([]uint32, n)
-	}
-	dst = dst[:n]
-	p.decodeFrom(p.start(int(i)), n, dst)
+// decodeList decodes list i into a fresh slice: the allocation-per-call
+// path behind IncidentVertices/IncidentHyperedges. Hot paths use an
+// AdjCursor instead.
+func (p *PackedAdj) decodeList(i uint32) []uint32 {
+	dst := make([]uint32, p.off[i+1]-p.off[i])
+	p.decodeFrom(p.start(int(i)), len(dst), dst)
 	return dst
+}
+
+// Unpacked is one incidence side decoded into a single flat array, the
+// offsets shared with its PackedAdj: the decode-once form for builders that
+// read every list, often out of order. It holds 4 bytes per entry, so it is
+// built for one bulk pass and then dropped.
+type Unpacked struct {
+	off, adj []uint32
+}
+
+// Unpack decodes every list of p in one sequential pass.
+func (p *PackedAdj) Unpack() Unpacked {
+	n := p.NumLists()
+	u := Unpacked{off: p.off, adj: make([]uint32, p.off[n])}
+	pos := 0
+	for i := 0; i < n; i++ {
+		pos = p.decodeFrom(pos, int(p.off[i+1]-p.off[i]), u.adj[p.off[i]:p.off[i+1]])
+	}
+	return u
+}
+
+// List returns list i. The slice aliases the flat array and is capped at
+// its own end, so an append by the caller cannot overwrite list i+1; it
+// must not be modified.
+func (u Unpacked) List(i uint32) []uint32 {
+	return u.adj[u.off[i]:u.off[i+1]:u.off[i+1]]
+}
+
+// sortLists returns p with every list in ascending order: p itself when the
+// encode or decode walk found it sorted already, else a re-pack of the
+// sorted lists over the same offsets.
+func (p *PackedAdj) sortLists() *PackedAdj {
+	if p.sorted {
+		return p
+	}
+	u := p.Unpack()
+	for i := 0; i < p.NumLists(); i++ {
+		slices.Sort(u.adj[u.off[i]:u.off[i+1]])
+	}
+	return packAdjacency(p.off, u.adj)
 }
 
 // NewCursor returns a streaming cursor over p positioned at list 0.
@@ -136,8 +210,9 @@ func (p *PackedAdj) NewCursor() *AdjCursor {
 }
 
 // AdjCursor is a streaming decoder over one PackedAdj. Sequential List
-// calls (the engines' chain-compile order) resume at the cached byte
-// position; out-of-order calls pay a block seek. The cursor owns its decode
+// calls (index-ordered passes) resume at the cached byte position, a call
+// further ahead in the same block skips on from it, and any other call
+// (chain-ordered compiles) pays a block seek. The cursor owns its decode
 // buffer — List's result is valid until the next List call — and a cursor
 // must not be shared between goroutines (the engine keeps one per direction
 // per core).
@@ -159,11 +234,17 @@ func (c *AdjCursor) Bind(p *PackedAdj) {
 func (c *AdjCursor) List(i uint32) []uint32 {
 	p := c.p
 	n := int(p.off[i+1] - p.off[i])
-	if int(i) != c.next {
+	switch {
+	case int(i) == c.next:
+	case int(i) > c.next && int(i)/packBlock == c.next/packBlock:
+		// Forward in the same block: skip on from here, not the block head.
+		c.pos = p.skip(c.pos, int(p.off[i]-p.off[c.next]))
+	default:
 		c.pos = p.start(int(i))
 	}
 	if cap(c.buf) < n {
-		c.buf = make([]uint32, n)
+		// Doubling keeps a cursor's lifetime growth to a few allocations.
+		c.buf = make([]uint32, max(n, 2*cap(c.buf), 16))
 	}
 	buf := c.buf[:n]
 	c.pos = p.decodeFrom(c.pos, n, buf)
@@ -171,103 +252,20 @@ func (c *AdjCursor) List(i uint32) []uint32 {
 	return buf
 }
 
-// packedPair is the lazily built pack cache hanging off a Bipartite; a
-// pointer so Bipartite stays copyable (go vet copylocks).
-type packedPair struct {
-	mu   sync.Mutex
-	h, v *PackedAdj
-}
+// PackedH returns the hyperedge-side incidence (incident vertices).
+func (g *Bipartite) PackedH() *PackedAdj { return g.h }
 
-// Compressed reports whether g is compressed-only: the raw incidence
-// arrays are absent and every access decodes the packed form. Raw graphs
-// that merely cached a packed form (EnsurePacked) report false — their
-// plain accessors still serve raw slices.
-func (g *Bipartite) Compressed() bool { return g.hAdj == nil && g.pack != nil && g.pack.h != nil }
-
-// EnsurePacked builds (and caches) the packed forms of both incidence
-// directions. Safe for concurrent use; a no-op when already packed.
-func (g *Bipartite) EnsurePacked() {
-	if g.pack == nil {
-		// Zero-built value (package-internal only); no cache to share.
-		g.pack = &packedPair{}
-	}
-	g.pack.mu.Lock()
-	defer g.pack.mu.Unlock()
-	if g.pack.h == nil {
-		g.pack.h = packAdjacency(g.hOff, g.hAdj)
-		g.pack.v = packAdjacency(g.vOff, g.vAdj)
-	}
-}
-
-// PackedH returns the packed hyperedge-side incidence (incident vertices).
-// Callers must have established packing via EnsurePacked, Compress or
-// DecodeCompressed.
-func (g *Bipartite) PackedH() *PackedAdj { return g.pack.h }
-
-// PackedV returns the packed vertex-side incidence (incident hyperedges).
-func (g *Bipartite) PackedV() *PackedAdj { return g.pack.v }
-
-// Compress returns the compressed-only form of g: same counts, direction
-// and entry-offset arrays (shared, not copied), with the incidence lists
-// held solely as packed varint data. This is the form whose footprint
-// AdjacencyBytes measures. g itself is unchanged (it gains a pack cache);
-// do not call SortAdjacency on g afterwards while holding the compressed
-// view — re-sorting raw adjacency invalidates the shared packed data, so
-// SortAdjacency drops g's own cache but cannot see views already handed
-// out.
-func (g *Bipartite) Compress() *Bipartite {
-	if g.Compressed() {
-		return g
-	}
-	g.EnsurePacked()
-	return &Bipartite{
-		numV: g.numV, numH: g.numH,
-		hOff: g.hOff, vOff: g.vOff,
-		directed: g.directed,
-		pack:     &packedPair{h: g.pack.h, v: g.pack.v},
-	}
-}
-
-// Decompress materializes the raw incidence arrays from a compressed graph
-// (offset arrays shared). A raw graph is returned unchanged.
-func (g *Bipartite) Decompress() *Bipartite {
-	if !g.Compressed() {
-		return g
-	}
-	out := &Bipartite{
-		numV: g.numV, numH: g.numH,
-		hOff: g.hOff, vOff: g.vOff,
-		directed: g.directed,
-		pack:     &packedPair{},
-	}
-	out.hAdj = unpackAdjacency(g.pack.h)
-	out.vAdj = unpackAdjacency(g.pack.v)
-	return out
-}
-
-// unpackAdjacency decodes every list of p into one flat array.
-func unpackAdjacency(p *PackedAdj) []uint32 {
-	n := p.NumLists()
-	out := make([]uint32, p.off[n])
-	pos := 0
-	for i := 0; i < n; i++ {
-		pos = p.decodeFrom(pos, int(p.off[i+1]-p.off[i]), out[p.off[i]:p.off[i+1]])
-	}
-	return out
-}
+// PackedV returns the vertex-side incidence (incident hyperedges).
+func (g *Bipartite) PackedV() *PackedAdj { return g.v }
 
 // AdjacencyBytes returns the in-memory footprint of the adjacency
-// structure alone (offset arrays + incidence storage + block tables),
+// structure alone (offset arrays + varint payloads + block tables),
 // excluding the per-element value slots — the quantity the bytes_per_edge
 // bench metric and its CI gate track.
 func (g *Bipartite) AdjacencyBytes() uint64 {
 	n := 4 * uint64(len(g.hOff)+len(g.vOff))
-	if g.Compressed() {
-		n += 4 * uint64(len(g.pack.h.blk)+len(g.pack.v.blk))
-		n += uint64(len(g.pack.h.data) + len(g.pack.v.data))
-		return n
-	}
-	return n + 4*uint64(len(g.hAdj)+len(g.vAdj))
+	n += 4 * uint64(len(g.h.blk)+len(g.v.blk))
+	return n + uint64(len(g.h.data)+len(g.v.data))
 }
 
 // The graph codec: the one serialization of a Bipartite. Files
@@ -282,19 +280,12 @@ func (g *Bipartite) AdjacencyBytes() uint64 {
 // encode→decode→encode is byte-identical (the property FuzzCompressedCodec
 // pins).
 
-// codecMagic heads every encoding; ReadBinary also accepts the legacy
-// "CHG1" raw layout (io.go).
+// codecMagic heads every encoding.
 var codecMagic = []byte("CHG2")
 
-// AppendCompressed appends g's encoding to dst. A raw graph is encoded
-// from a temporary pack, never cached on g.
+// AppendCompressed appends g's encoding to dst: the held varint payloads,
+// verbatim.
 func AppendCompressed(dst []byte, g *Bipartite) []byte {
-	var h, v *PackedAdj
-	if g.Compressed() {
-		h, v = g.pack.h, g.pack.v
-	} else {
-		h, v = packAdjacency(g.hOff, g.hAdj), packAdjacency(g.vOff, g.vAdj)
-	}
 	dst = append(dst, codecMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, g.numV)
 	dst = binary.LittleEndian.AppendUint32(dst, g.numH)
@@ -303,8 +294,8 @@ func AppendCompressed(dst []byte, g *Bipartite) []byte {
 		flags |= 1
 	}
 	dst = append(dst, flags)
-	dst = appendPackedSide(dst, h)
-	return appendPackedSide(dst, v)
+	dst = appendPackedSide(dst, g.h)
+	return appendPackedSide(dst, g.v)
 }
 
 func appendPackedSide(dst []byte, p *PackedAdj) []byte {
@@ -315,11 +306,12 @@ func appendPackedSide(dst []byte, p *PackedAdj) []byte {
 	return append(dst, p.data...)
 }
 
-// DecodeCompressed reverses AppendCompressed into a compressed-only
-// Bipartite, validating structure as it goes: degrees and payload lengths
-// must be consistent, every varint must terminate inside the payload,
-// every decoded id must be in range for its side, and an undirected
-// graph's vertex side must mirror its hyperedge side.
+// DecodeCompressed reverses AppendCompressed, validating structure as it
+// goes: degrees and payload lengths must be consistent, every varint must
+// terminate inside the payload, every decoded id must be in range for its
+// side, and an undirected graph's vertex side must mirror its hyperedge
+// side. The graph holds a copy of the payload as it is; lists stay in
+// encoded order (the validation walk records whether they are sorted).
 func DecodeCompressed(data []byte) (*Bipartite, error) {
 	if len(data) < 13 {
 		return nil, fmt.Errorf("hypergraph: truncated compressed header (%d bytes)", len(data))
@@ -334,18 +326,18 @@ func DecodeCompressed(data []byte) (*Bipartite, error) {
 		return nil, fmt.Errorf("hypergraph: unknown compressed flags %#x", flags)
 	}
 	data = data[13:]
-	g := &Bipartite{numV: numV, numH: numH, directed: flags&1 != 0, pack: &packedPair{}}
+	g := &Bipartite{numV: numV, numH: numH, directed: flags&1 != 0}
 	var err error
-	if g.hOff, g.pack.h, data, err = decodePackedSide(data, numH, numV); err != nil {
+	if g.hOff, g.h, data, err = decodePackedSide(data, numH, numV); err != nil {
 		return nil, fmt.Errorf("hypergraph: hyperedge side: %w", err)
 	}
-	if g.vOff, g.pack.v, data, err = decodePackedSide(data, numV, numH); err != nil {
+	if g.vOff, g.v, data, err = decodePackedSide(data, numV, numH); err != nil {
 		return nil, fmt.Errorf("hypergraph: vertex side: %w", err)
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("hypergraph: %d trailing bytes after compressed graph", len(data))
 	}
-	if err := g.checkMirror(g.pack.h.NewCursor().List, g.pack.v.NewCursor().List); err != nil {
+	if err := g.checkMirror(g.h.NewCursor().List, g.v.NewCursor().List); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -425,12 +417,12 @@ func decodePackedSide(data []byte, n, maxID uint32) (off []uint32, p *PackedAdj,
 	if dataLen > len(data) {
 		return nil, nil, nil, fmt.Errorf("payload overruns body (%d > %d): %w", dataLen, len(data), io.ErrUnexpectedEOF)
 	}
-	p = &PackedAdj{off: off, data: append([]byte(nil), data[:dataLen]...)}
+	p = &PackedAdj{off: off, data: append([]byte(nil), data[:dataLen]...), sorted: true}
 	if n > 0 {
 		p.blk = make([]uint32, (int(n)+packBlock-1)/packBlock)
 	}
-	// Single validation walk: rebuild the block table and check every
-	// decoded id, exactly as a cursor will see them.
+	// Single validation walk: rebuild the block table, check every decoded
+	// id exactly as a cursor will see them, and note any descending step.
 	pos := 0
 	var entry uint32
 	for i := uint32(0); i < n; i++ {
@@ -448,6 +440,9 @@ func decodePackedSide(data []byte, n, maxID uint32) (off []uint32, p *PackedAdj,
 			id := int64(prev) + delta
 			if id < 0 || id >= int64(maxID) {
 				return nil, nil, nil, fmt.Errorf("entry %d of list %d out of range (%d, max %d)", entry, i, id, maxID)
+			}
+			if delta < 0 {
+				p.sorted = false
 			}
 			prev = uint32(id)
 			entry++

@@ -3,8 +3,9 @@ package hypergraph
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -39,6 +40,14 @@ func testGraphs(t testing.TB) map[string]*Bipartite {
 		}
 		many[i] = he
 	}
+	// Mixed lengths and multi-byte deltas, so a seek crosses words holding
+	// any number of terminators.
+	mixed := make([][]uint32, 3*packBlock+7)
+	for i := range mixed {
+		for k := rng.Intn(41); k > 0; k-- {
+			mixed[i] = append(mixed[i], rng.Uint32()%2000)
+		}
+	}
 	directed, err := BuildDirected(6, [][]uint32{{0, 1}, {2}, nil}, [][]uint32{{3}, {4, 5}, {0}})
 	if err != nil {
 		t.Fatal(err)
@@ -50,63 +59,95 @@ func testGraphs(t testing.TB) map[string]*Bipartite {
 		"hub":        MustBuild(300, [][]uint32{hub, {7}, hub[10:50]}),
 		"unsorted":   MustBuild(50, [][]uint32{{40, 3, 17, 2}, {9, 8, 7}, {49, 0}}),
 		"manyLists":  MustBuild(500, many),
+		"mixed":      MustBuild(2000, mixed),
 		"directed":   directed,
 	}
 }
 
+// TestPackedRoundTrip: the decode paths (Unpack, cursors, the cold
+// accessors) agree, and packing the unpacked lists again reproduces the held
+// payload, block table and sortedness bit for bit.
 func TestPackedRoundTrip(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			c := g.Compress()
-			if !c.Compressed() || g.Compressed() {
-				t.Fatal("Compressed() flags wrong way around")
+			if err := g.Validate(); err != nil {
+				t.Fatalf("graph fails validation: %v", err)
 			}
-			if got := c.Decompress(); !structurallyEqual(g, got) {
-				t.Fatal("Compress().Decompress() changed the hypergraph")
+			for _, p := range []*PackedAdj{g.PackedH(), g.PackedV()} {
+				u := p.Unpack()
+				again := packAdjacency(p.off, u.adj)
+				if !bytes.Equal(again.data, p.data) || !reflect.DeepEqual(again.blk, p.blk) || again.sorted != p.sorted {
+					t.Fatal("re-packing the unpacked lists changed the encoding")
+				}
 			}
-			if c.NumBipartiteEdges() != g.NumBipartiteEdges() {
-				t.Fatalf("edge count %d != %d", c.NumBipartiteEdges(), g.NumBipartiteEdges())
-			}
-			if err := c.Validate(); err != nil {
-				t.Fatalf("compressed graph fails validation: %v", err)
-			}
-			// Plain accessors on the compressed form decode the same lists.
+			hs, vs := g.PackedH().Unpack(), g.PackedV().Unpack()
 			for h := uint32(0); h < g.NumHyperedges(); h++ {
-				if !sameList(c.IncidentVertices(h), g.IncidentVertices(h)) {
-					t.Fatalf("IncidentVertices(%d) differs", h)
+				if !sameList(hs.List(h), g.IncidentVertices(h)) {
+					t.Fatalf("Unpack list %d differs from IncidentVertices", h)
 				}
 			}
 			for v := uint32(0); v < g.NumVertices(); v++ {
-				if !sameList(c.IncidentHyperedges(v), g.IncidentHyperedges(v)) {
-					t.Fatalf("IncidentHyperedges(%d) differs", v)
+				if !sameList(vs.List(v), g.IncidentHyperedges(v)) {
+					t.Fatalf("Unpack list %d differs from IncidentHyperedges", v)
 				}
 			}
+			if got := uint64(len(hs.adj)); got != g.NumBipartiteEdges() {
+				t.Fatalf("unpacked %d entries, want %d", got, g.NumBipartiteEdges())
+			}
 		})
+	}
+}
+
+// TestIncidentVerticesReturnsCopy: the cold accessors hand out fresh
+// slices, so a caller writing to one cannot corrupt the graph.
+func TestIncidentVerticesReturnsCopy(t *testing.T) {
+	g := fig1()
+	want := g.IncidentVertices(0)
+	got := g.IncidentVertices(0)
+	got[0] = 99
+	if !sameList(g.IncidentVertices(0), want) {
+		t.Fatal("writing to IncidentVertices' result changed the graph")
+	}
+	hs := g.IncidentHyperedges(1)
+	hs[0] = 99
+	if g.IncidentHyperedges(1)[0] == 99 {
+		t.Fatal("writing to IncidentHyperedges' result changed the graph")
+	}
+	// Unpacked lists are capped, so appending cannot spill into the next.
+	u := g.PackedH().Unpack()
+	_ = append(u.List(0), 99)
+	if !sameList(u.List(1), g.IncidentVertices(1)) {
+		t.Fatal("append to an unpacked list overwrote the next list")
 	}
 }
 
 func TestCursorSequentialAndRandom(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			g.EnsurePacked()
+			// Unpack decodes front to back and never seeks: the reference.
+			hs, vs := g.PackedH().Unpack(), g.PackedV().Unpack()
 			cur := g.PackedH().NewCursor()
 			for h := uint32(0); h < g.NumHyperedges(); h++ {
-				if got, want := cur.List(h), g.IncidentVertices(h); !sameList(got, want) {
+				if got, want := cur.List(h), hs.List(h); !sameList(got, want) {
 					t.Fatalf("sequential List(%d) = %v, want %v", h, got, want)
 				}
 			}
-			// Random order exercises the block-seek path.
+			// Random order exercises the block seek and the forward skip
+			// within a block, and so does the cold accessor.
 			rng := rand.New(rand.NewSource(2))
-			for i := 0; i < 200 && g.NumHyperedges() > 0; i++ {
+			for i := 0; i < 400 && g.NumHyperedges() > 0; i++ {
 				h := rng.Uint32() % g.NumHyperedges()
-				if got, want := cur.List(h), g.IncidentVertices(h); !sameList(got, want) {
+				if got, want := cur.List(h), hs.List(h); !sameList(got, want) {
 					t.Fatalf("random List(%d) = %v, want %v", h, got, want)
+				}
+				if got := g.IncidentVertices(h); !sameList(got, hs.List(h)) {
+					t.Fatalf("IncidentVertices(%d) = %v, want %v", h, got, hs.List(h))
 				}
 			}
 			// Rebinding resets to list 0 and keeps working.
 			cur.Bind(g.PackedV())
 			for v := uint32(0); v < g.NumVertices(); v++ {
-				if got, want := cur.List(v), g.IncidentHyperedges(v); !sameList(got, want) {
+				if got, want := cur.List(v), vs.List(v); !sameList(got, want) {
 					t.Fatalf("rebound List(%d) = %v, want %v", v, got, want)
 				}
 			}
@@ -122,7 +163,7 @@ func TestCompressedCodecByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decoding own encoding: %v", err)
 			}
-			if !structurallyEqual(g, dec.Decompress()) {
+			if !structurallyEqual(g, dec) {
 				t.Fatal("codec round trip changed the hypergraph")
 			}
 			if again := AppendCompressed(nil, dec); !bytes.Equal(blob, again) {
@@ -138,34 +179,53 @@ func TestCompressedCodecByteIdentity(t *testing.T) {
 	}
 }
 
+// TestSortAdjacencyRepacks: sorting re-packs an unsorted side to the
+// sorted lists, and leaves a side already known sorted — built sorted or
+// decoded from sorted bytes — as it is, with no re-pack.
 func TestSortAdjacencyRepacks(t *testing.T) {
-	build := func() *Bipartite { return MustBuild(50, [][]uint32{{40, 3, 17, 2}, {9, 8, 7}, {49, 0}}) }
-
-	// Raw graph: a stale pack cache must not survive the sort.
-	g := build()
-	g.EnsurePacked()
+	lists := [][]uint32{{40, 3, 17, 2}, {9, 8, 7}, {49, 0}}
+	g := MustBuild(50, lists)
+	if g.PackedH().sorted || !g.PackedV().sorted {
+		t.Fatal("sortedness not recorded at pack time")
+	}
+	v := g.PackedV()
 	g.SortAdjacency()
-	g.EnsurePacked()
-	want := build()
-	want.SortAdjacency()
-	for h := uint32(0); h < g.NumHyperedges(); h++ {
-		if got := g.PackedH().NewCursor().List(h); !sameList(got, want.IncidentVertices(h)) {
-			t.Fatalf("packed list %d = %v after sort, want %v", h, got, want.IncidentVertices(h))
+	if g.PackedV() != v {
+		t.Fatal("sorted vertex side was re-packed")
+	}
+	for h, l := range lists {
+		want := append([]uint32(nil), l...)
+		slices.Sort(want)
+		if got := g.IncidentVertices(uint32(h)); !sameList(got, want) {
+			t.Fatalf("list %d = %v after sort, want %v", h, got, want)
 		}
 	}
+	if !g.PackedH().sorted {
+		t.Fatal("re-packed side not marked sorted")
+	}
 
-	// Compressed-only graph: sorting repacks in place.
-	c := build().Compress()
-	c.SortAdjacency()
-	if !structurallyEqual(want, c.Decompress()) {
-		t.Fatal("SortAdjacency on the compressed form diverged from the raw sort")
+	// Decoded sides carry the validation walk's verdict.
+	for name, src := range map[string]*Bipartite{"sorted": g, "unsorted": MustBuild(50, lists)} {
+		dec, err := DecodeCompressed(AppendCompressed(nil, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := dec.PackedH()
+		dec.SortAdjacency()
+		if (dec.PackedH() == h) != (name == "sorted") {
+			t.Fatalf("%s: re-packed = %v", name, dec.PackedH() != h)
+		}
+		if !structurallyEqual(dec, g) {
+			t.Fatalf("%s: decoded and sorted graph differs", name)
+		}
 	}
 }
 
 func TestAdjacencyBytesShrink(t *testing.T) {
 	// A sorted local-neighborhood graph is the codec's favorable case: all
-	// deltas are small, so packed incidence must beat 4 bytes per entry by a
-	// wide margin (the bytes_per_edge bench gate tracks the same ratio).
+	// deltas are small, so packed incidence must beat the plain CSR's 4
+	// bytes per entry by a wide margin (the bytes_per_edge bench gate
+	// tracks the same ratio).
 	hs := make([][]uint32, 2000)
 	for i := range hs {
 		base := uint32(i)
@@ -173,10 +233,9 @@ func TestAdjacencyBytesShrink(t *testing.T) {
 	}
 	g := MustBuild(2100, hs)
 	g.SortAdjacency()
-	raw := g.AdjacencyBytes()
-	comp := g.Compress().AdjacencyBytes()
-	if comp >= raw*3/4 {
-		t.Fatalf("compressed adjacency %d bytes, want < 75%% of raw %d", comp, raw)
+	raw := g.StorageBytes() - 8*uint64(g.NumVertices()+g.NumHyperedges())
+	if packed := g.AdjacencyBytes(); packed >= raw*3/4 {
+		t.Fatalf("packed adjacency %d bytes, want < 75%% of plain CSR %d", packed, raw)
 	}
 }
 
@@ -230,24 +289,6 @@ func TestDecodeCompressedRejectsMirrorGap(t *testing.T) {
 	}
 }
 
-// TestAppendCompressedKeepsRawGraphsRaw: encoding a raw graph packs into a
-// temporary buffer; it must not leave a packed copy cached on the graph.
-func TestAppendCompressedKeepsRawGraphsRaw(t *testing.T) {
-	g := fig1()
-	if err := WriteBinary(io.Discard, g); err != nil {
-		t.Fatal(err)
-	}
-	if g.pack.h != nil || g.pack.v != nil {
-		t.Fatal("WriteBinary cached a pack on a raw graph")
-	}
-	// A graph that already caches its pack encodes to the same bytes.
-	cached := fig1()
-	cached.EnsurePacked()
-	if !bytes.Equal(AppendCompressed(nil, g), AppendCompressed(nil, cached)) {
-		t.Fatal("cached and temporary packs encode differently")
-	}
-}
-
 func FuzzCompressedCodec(f *testing.F) {
 	f.Add(uint32(4), []byte{0, 0, 1, 0, 0xFF, 0xFF, 2, 0, 3, 0})
 	f.Add(uint32(1), []byte{})
@@ -262,7 +303,7 @@ func FuzzCompressedCodec(f *testing.F) {
 			t.Skip()
 		}
 		// Branch 1: a real uncompressed build must survive
-		// encode→decode→decompress unchanged, and re-encoding the decoded
+		// encode→decode unchanged, and re-encoding the decoded
 		// graph must be byte-identical (the payload is copied verbatim).
 		if g, err := Build(numV, decodeHyperedges(data)); err == nil {
 			blob := AppendCompressed(nil, g)
@@ -270,7 +311,7 @@ func FuzzCompressedCodec(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decoding own encoding: %v", err)
 			}
-			if !structurallyEqual(g, dec.Decompress()) {
+			if !structurallyEqual(g, dec) {
 				t.Fatal("codec round trip changed the hypergraph")
 			}
 			if !bytes.Equal(blob, AppendCompressed(nil, dec)) {
@@ -292,11 +333,60 @@ func FuzzCompressedCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decoding accepted graph: %v", err)
 		}
-		if !structurallyEqual(dec.Decompress(), dec2.Decompress()) {
+		if !structurallyEqual(dec, dec2) {
 			t.Fatal("canonicalization changed the hypergraph")
 		}
 		if enc2 := AppendCompressed(nil, dec2); !bytes.Equal(enc1, enc2) {
 			t.Fatal("canonical encoding not a fixed point")
 		}
 	})
+}
+
+// BenchmarkCursorRandomList measures out-of-order List calls, the
+// block-seek path chain-ordered compiles take, on lists of mixed length.
+func BenchmarkCursorRandomList(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	hs := make([][]uint32, 4096)
+	for i := range hs {
+		deg := 2 + rng.Intn(8)
+		if i%16 == 0 {
+			deg = 40 + rng.Intn(80)
+		}
+		for k := 0; k < deg; k++ {
+			hs[i] = append(hs[i], rng.Uint32()%20000)
+		}
+	}
+	g := MustBuild(20000, hs)
+	g.SortAdjacency()
+	order := rng.Perm(len(hs))
+	cur := g.PackedH().NewCursor()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, h := range order {
+			benchList = cur.List(uint32(h))
+		}
+	}
+}
+
+// benchList keeps BenchmarkCursorRandomList's decodes observable.
+var benchList []uint32
+
+// BenchmarkCursorSequentialList measures in-order List calls, the resume
+// path index-ordered compiles take.
+func BenchmarkCursorSequentialList(b *testing.B) {
+	hs := make([][]uint32, 4096)
+	for i := range hs {
+		for k := uint32(0); k < 12; k++ {
+			hs[i] = append(hs[i], uint32(i)+k*3)
+		}
+	}
+	g := MustBuild(4096+40, hs)
+	cur := g.PackedH().NewCursor()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cur.Bind(g.PackedH())
+		for h := range hs {
+			benchList = cur.List(uint32(h))
+		}
+	}
 }

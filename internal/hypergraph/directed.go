@@ -28,70 +28,18 @@ func BuildDirected(numV uint32, srcs, dsts [][]uint32) (*Bipartite, error) {
 	if len(srcs) != len(dsts) {
 		return nil, fmt.Errorf("hypergraph: %d source sets vs %d destination sets", len(srcs), len(dsts))
 	}
-	numH := uint32(len(srcs))
-	g := &Bipartite{numV: numV, numH: numH, directed: true, pack: &packedPair{}}
-	// Non-nil even when every destination set is empty: a nil hAdj is the
-	// compressed-only marker (see Compressed).
-	g.hAdj = make([]uint32, 0)
-
-	dedup := func(in []uint32, what string, h int) ([]uint32, error) {
-		seen := make(map[uint32]struct{}, len(in))
-		out := make([]uint32, 0, len(in))
-		for _, v := range in {
-			if v >= numV {
-				return nil, fmt.Errorf("hypergraph: hyperedge %d %s vertex %d >= numV %d", h, what, v, numV)
-			}
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
-		return out, nil
+	// Hyperedge side: destination vertices; vertex side: the hyperedges
+	// each vertex sources.
+	hOff, hFlat, err := flattenPins(numV, dsts, "destination")
+	if err != nil {
+		return nil, err
 	}
-
-	// Hyperedge-side CSR: destination vertices.
-	g.hOff = make([]uint32, numH+1)
-	for i, ds := range dsts {
-		d, err := dedup(ds, "destination", i)
-		if err != nil {
-			return nil, err
-		}
-		g.hOff[i] = uint32(len(g.hAdj))
-		g.hAdj = append(g.hAdj, d...)
+	srcOff, srcFlat, err := flattenPins(numV, srcs, "source")
+	if err != nil {
+		return nil, err
 	}
-	g.hOff[numH] = uint32(len(g.hAdj))
-
-	// Vertex-side CSR: hyperedges each vertex sources.
-	deg := make([]uint32, numV)
-	cleanSrcs := make([][]uint32, numH)
-	for i, ss := range srcs {
-		s, err := dedup(ss, "source", i)
-		if err != nil {
-			return nil, err
-		}
-		cleanSrcs[i] = s
-		for _, v := range s {
-			deg[v]++
-		}
-	}
-	g.vOff = make([]uint32, numV+1)
-	var acc uint32
-	for v := uint32(0); v < numV; v++ {
-		g.vOff[v] = acc
-		acc += deg[v]
-	}
-	g.vOff[numV] = acc
-	g.vAdj = make([]uint32, acc)
-	cursor := make([]uint32, numV)
-	copy(cursor, g.vOff[:numV])
-	for h := uint32(0); h < numH; h++ {
-		for _, v := range cleanSrcs[h] {
-			g.vAdj[cursor[v]] = h
-			cursor[v]++
-		}
-	}
-	return g, nil
+	vOff, vFlat := transpose(numV, srcOff, srcFlat)
+	return newBipartite(numV, uint32(len(srcs)), hOff, hFlat, vOff, vFlat, true), nil
 }
 
 // Directed reports whether the hypergraph was built with BuildDirected

@@ -36,11 +36,12 @@ func decodeHyperedges(data []byte) [][]uint32 {
 	return hs
 }
 
-// structurallyEqual compares the full CSR state of two hypergraphs.
+// structurallyEqual compares the full CSR state of two hypergraphs: counts,
+// direction, offsets and every decoded list.
 func structurallyEqual(a, b *Bipartite) bool {
 	return a.numV == b.numV && a.numH == b.numH && a.directed == b.directed &&
-		reflect.DeepEqual(a.hOff, b.hOff) && reflect.DeepEqual(a.hAdj, b.hAdj) &&
-		reflect.DeepEqual(a.vOff, b.vOff) && reflect.DeepEqual(a.vAdj, b.vAdj)
+		reflect.DeepEqual(a.hOff, b.hOff) && reflect.DeepEqual(a.h.Unpack().adj, b.h.Unpack().adj) &&
+		reflect.DeepEqual(a.vOff, b.vOff) && reflect.DeepEqual(a.v.Unpack().adj, b.v.Unpack().adj)
 }
 
 func checkValid(t *testing.T, g *Bipartite) {
@@ -232,15 +233,14 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte("CHG1"))
 	f.Add([]byte("CHG1\x02\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00"))
 	f.Add([]byte("XXXX"))
-	f.Add(CHG1Fixture)
+	f.Add(CHG1Fixture) // the retired format: must be rejected
 	f.Add([]byte("CHG2"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<14 {
 			t.Skip()
 		}
-		// Same memory guard as FuzzReadText: the header's numV/numH (at the
-		// same offsets in both magics' layouts) drive allocation sizes
-		// inside Build.
+		// Same memory guard as FuzzReadText: the header's numV/numH drive
+		// allocation sizes.
 		if len(data) >= 12 {
 			numV := binary.LittleEndian.Uint32(data[4:8])
 			numH := binary.LittleEndian.Uint32(data[8:12])
@@ -251,6 +251,9 @@ func FuzzReadBinary(f *testing.F) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !bytes.HasPrefix(data, codecMagic) {
+			t.Fatalf("input with magic %q accepted", data[:min(4, len(data))])
 		}
 		checkValid(t, g)
 		var out bytes.Buffer

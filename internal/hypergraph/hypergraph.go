@@ -13,90 +13,101 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Bipartite is the CSR-based bipartite representation of a hypergraph.
-// It is immutable after construction.
+// Its incidence lists are held packed (compress.go); the entry-offset
+// arrays are plain. It is immutable after construction, except that
+// SortAdjacency may reorder lists in place.
 type Bipartite struct {
 	numV uint32
 	numH uint32
 
-	// hOff[h]..hOff[h+1] index hAdj: the incident vertices of hyperedge h.
-	hOff []uint32
-	hAdj []uint32
-	// vOff[v]..vOff[v+1] index vAdj: the incident hyperedges of vertex v.
-	vOff []uint32
-	vAdj []uint32
+	// hOff[h]..hOff[h+1] index the incident vertices of hyperedge h, held
+	// in h; vOff[v]..vOff[v+1] index the incident hyperedges of vertex v,
+	// held in v. Each PackedAdj aliases its offset array.
+	hOff, vOff []uint32
+	h, v       *PackedAdj
 
 	// directed marks an asymmetric (source/destination) incidence built by
 	// BuildDirected.
 	directed bool
+}
 
-	// pack caches the compressed adjacency (compress.go). On a
-	// compressed-only graph (hAdj nil) it is the sole incidence storage;
-	// on a raw graph it is a lazily built cache (EnsurePacked). A pointer
-	// so Bipartite stays copyable despite the pair's mutex.
-	pack *packedPair
+// newBipartite packs a graph from flat CSR sides. The flat arrays are
+// only read.
+func newBipartite(numV, numH uint32, hOff, hFlat, vOff, vFlat []uint32, directed bool) *Bipartite {
+	return &Bipartite{
+		numV: numV, numH: numH,
+		hOff: hOff, vOff: vOff,
+		h: packAdjacency(hOff, hFlat), v: packAdjacency(vOff, vFlat),
+		directed: directed,
+	}
+}
+
+// flattenPins concatenates per-hyperedge vertex lists into one CSR side,
+// dropping repeated vertices within a list (first occurrences kept, in
+// order) and range-checking every id against numV. what names the lists
+// in errors ("references", "source", "destination").
+func flattenPins(numV uint32, lists [][]uint32, what string) (off, flat []uint32, err error) {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	off = make([]uint32, len(lists)+1)
+	flat = make([]uint32, 0, total)
+	// mark[v] == i+1 once list i has taken v.
+	mark := make([]uint32, numV)
+	for i, l := range lists {
+		off[i] = uint32(len(flat))
+		for _, v := range l {
+			if v >= numV {
+				return nil, nil, fmt.Errorf("hypergraph: hyperedge %d %s vertex %d >= numV %d", i, what, v, numV)
+			}
+			if mark[v] == uint32(i)+1 {
+				continue
+			}
+			mark[v] = uint32(i) + 1
+			flat = append(flat, v)
+		}
+	}
+	off[len(lists)] = uint32(len(flat))
+	return off, flat, nil
+}
+
+// transpose builds the vertex side of numV vertices from a hyperedge-side
+// CSR (a counting sort), each vertex listing its hyperedges in ascending
+// order.
+func transpose(numV uint32, hOff, hFlat []uint32) (off, flat []uint32) {
+	off = make([]uint32, numV+1)
+	for _, v := range hFlat {
+		off[v+1]++
+	}
+	for v := uint32(0); v < numV; v++ {
+		off[v+1] += off[v]
+	}
+	flat = make([]uint32, off[numV])
+	next := append([]uint32(nil), off[:numV]...)
+	for h := 0; h+1 < len(hOff); h++ {
+		for _, v := range hFlat[hOff[h]:hOff[h+1]] {
+			flat[next[v]] = uint32(h)
+			next[v]++
+		}
+	}
+	return off, flat
 }
 
 // Build constructs a Bipartite from per-hyperedge incident vertex lists.
 // numV must exceed every vertex id referenced. Duplicate vertices within a
-// hyperedge are dropped. Empty hyperedges are allowed (degree 0).
+// hyperedge are dropped. Empty hyperedges are allowed (degree 0). Lists
+// keep their given order; each vertex lists its hyperedges ascending.
 func Build(numV uint32, hyperedges [][]uint32) (*Bipartite, error) {
-	numH := uint32(len(hyperedges))
-	g := &Bipartite{numV: numV, numH: numH, pack: &packedPair{}}
-
-	g.hOff = make([]uint32, numH+1)
-	total := 0
-	seen := make(map[uint32]struct{}, 16)
-	dedup := make([][]uint32, numH)
-	for i, hs := range hyperedges {
-		clear(seen)
-		out := make([]uint32, 0, len(hs))
-		for _, v := range hs {
-			if v >= numV {
-				return nil, fmt.Errorf("hypergraph: hyperedge %d references vertex %d >= numV %d", i, v, numV)
-			}
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
-		dedup[i] = out
-		total += len(out)
+	hOff, hFlat, err := flattenPins(numV, hyperedges, "references")
+	if err != nil {
+		return nil, err
 	}
-
-	g.hAdj = make([]uint32, 0, total)
-	vdeg := make([]uint32, numV)
-	for i, hs := range dedup {
-		g.hOff[i] = uint32(len(g.hAdj))
-		g.hAdj = append(g.hAdj, hs...)
-		for _, v := range hs {
-			vdeg[v]++
-		}
-	}
-	g.hOff[numH] = uint32(len(g.hAdj))
-
-	// Mirror into the vertex-side CSR.
-	g.vOff = make([]uint32, numV+1)
-	var acc uint32
-	for v := uint32(0); v < numV; v++ {
-		g.vOff[v] = acc
-		acc += vdeg[v]
-	}
-	g.vOff[numV] = acc
-	g.vAdj = make([]uint32, acc)
-	cursor := make([]uint32, numV)
-	copy(cursor, g.vOff[:numV])
-	for h := uint32(0); h < numH; h++ {
-		for _, v := range g.hAdj[g.hOff[h]:g.hOff[h+1]] {
-			g.vAdj[cursor[v]] = h
-			cursor[v]++
-		}
-	}
-	return g, nil
+	vOff, vFlat := transpose(numV, hOff, hFlat)
+	return newBipartite(numV, uint32(len(hyperedges)), hOff, hFlat, vOff, vFlat, false), nil
 }
 
 // MustBuild is Build but panics on error; for tests and generators whose
@@ -125,31 +136,14 @@ func (g *Bipartite) HyperedgeDegree(h uint32) uint32 { return g.hOff[h+1] - g.hO
 // VertexDegree returns deg(v), the number of incident hyperedges of v.
 func (g *Bipartite) VertexDegree(v uint32) uint32 { return g.vOff[v+1] - g.vOff[v] }
 
-// IncidentVertices returns N(h), the incident vertex slice of hyperedge h.
-// On a raw graph the returned slice aliases internal storage and must not be
-// modified; on a compressed-only graph it is a fresh decoded copy (hot loops
-// should use an AdjCursor instead).
-func (g *Bipartite) IncidentVertices(h uint32) []uint32 {
-	if g.hAdj == nil {
-		if g.Compressed() {
-			return g.pack.h.decodeList(h, nil)
-		}
-		return nil
-	}
-	return g.hAdj[g.hOff[h]:g.hOff[h+1]]
-}
+// IncidentVertices returns N(h), the incident vertices of hyperedge h, as
+// a freshly decoded copy the caller owns. It is the cold-path accessor: hot
+// loops read through an AdjCursor, bulk builders through Unpack.
+func (g *Bipartite) IncidentVertices(h uint32) []uint32 { return g.h.decodeList(h) }
 
-// IncidentHyperedges returns N(v), the incident hyperedge slice of vertex v.
-// Aliasing rules match IncidentVertices.
-func (g *Bipartite) IncidentHyperedges(v uint32) []uint32 {
-	if g.vAdj == nil {
-		if g.Compressed() {
-			return g.pack.v.decodeList(v, nil)
-		}
-		return nil
-	}
-	return g.vAdj[g.vOff[v]:g.vOff[v+1]]
-}
+// IncidentHyperedges returns N(v), the incident hyperedges of vertex v, as
+// a freshly decoded copy (see IncidentVertices).
+func (g *Bipartite) IncidentHyperedges(v uint32) []uint32 { return g.v.decodeList(v) }
 
 // HyperedgeOffset returns the CSR offset of hyperedge h into the
 // incident-vertex array; used by engines to model offset-array accesses.
@@ -159,15 +153,14 @@ func (g *Bipartite) HyperedgeOffset(h uint32) uint32 { return g.hOff[h] }
 // incident-hyperedge array.
 func (g *Bipartite) VertexOffset(v uint32) uint32 { return g.vOff[v] }
 
-// StorageBytes returns the in-memory footprint of the bipartite CSR arrays
-// plus one 8-byte value slot per vertex and hyperedge (the representation
-// Hygra keeps, used as the Figure 21(b) baseline).
+// StorageBytes returns the footprint of the plain bipartite CSR arrays
+// (offsets plus one 4-byte id per incidence, both directions) plus one
+// 8-byte value slot per vertex and hyperedge: the representation Hygra
+// keeps, used as the Table II size and the Figure 21(b) baseline. It is a
+// formula over the counts, independent of the packed form held.
 func (g *Bipartite) StorageBytes() uint64 {
 	values := 8 * uint64(g.numV+g.numH)
-	if g.Compressed() {
-		return g.AdjacencyBytes() + values
-	}
-	csr := 4 * uint64(len(g.hOff)+len(g.hAdj)+len(g.vOff)+len(g.vAdj))
+	csr := 4 * uint64(len(g.hOff)+len(g.vOff)+int(g.hOff[g.numH])+int(g.vOff[g.numV]))
 	return csr + values
 }
 
@@ -176,14 +169,12 @@ func (g *Bipartite) Validate() error {
 	if len(g.hOff) != int(g.numH)+1 || len(g.vOff) != int(g.numV)+1 {
 		return errors.New("hypergraph: offset array length mismatch")
 	}
-	if !g.Compressed() && (g.hOff[g.numH] != uint32(len(g.hAdj)) || g.vOff[g.numV] != uint32(len(g.vAdj))) {
-		return errors.New("hypergraph: trailing offset mismatch")
-	}
+	hc, vc := g.h.NewCursor(), g.v.NewCursor()
 	for h := uint32(0); h < g.numH; h++ {
 		if g.hOff[h] > g.hOff[h+1] {
 			return fmt.Errorf("hypergraph: hOff not monotone at %d", h)
 		}
-		for _, v := range g.IncidentVertices(h) {
+		for _, v := range hc.List(h) {
 			if v >= g.numV {
 				return fmt.Errorf("hypergraph: incident vertex %d out of range", v)
 			}
@@ -193,14 +184,14 @@ func (g *Bipartite) Validate() error {
 		if g.vOff[v] > g.vOff[v+1] {
 			return fmt.Errorf("hypergraph: vOff not monotone at %d", v)
 		}
-		for _, h := range g.IncidentHyperedges(v) {
+		for _, h := range vc.List(v) {
 			if h >= g.numH {
 				return fmt.Errorf("hypergraph: incident hyperedge %d out of range", h)
 			}
 		}
 	}
 	// Mirror consistency: every (h, v) incidence appears in both CSRs.
-	return g.checkMirror(g.IncidentVertices, g.IncidentHyperedges)
+	return g.checkMirror(hc.List, vc.List)
 }
 
 // Overlapped reports whether hyperedges a and b share at least one vertex
@@ -306,31 +297,8 @@ func FromGraphEdges(numV uint32, edges [][2]uint32) (*Bipartite, error) {
 // SortAdjacency sorts each hyperedge's incident vertex list and each
 // vertex's incident hyperedge list in ascending order, in place. Generators
 // call this to give deterministic, index-ordered adjacency as produced by
-// standard CSR construction.
+// standard CSR construction. A side already sorted (known from its encode
+// or decode walk) is kept as it is; an unsorted one is re-packed.
 func (g *Bipartite) SortAdjacency() {
-	if g.Compressed() {
-		// Sorting permutes within lists only, so the shared offset arrays
-		// are untouched; decode, sort, repack in place of the old payload.
-		raw := g.Decompress()
-		raw.SortAdjacency()
-		g.pack.mu.Lock()
-		g.pack.h = packAdjacency(g.hOff, raw.hAdj)
-		g.pack.v = packAdjacency(g.vOff, raw.vAdj)
-		g.pack.mu.Unlock()
-		return
-	}
-	for h := uint32(0); h < g.numH; h++ {
-		s := g.hAdj[g.hOff[h]:g.hOff[h+1]]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	for v := uint32(0); v < g.numV; v++ {
-		s := g.vAdj[g.vOff[v]:g.vOff[v+1]]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	// A stale pack cache would decode the pre-sort lists.
-	if g.pack != nil {
-		g.pack.mu.Lock()
-		g.pack.h, g.pack.v = nil, nil
-		g.pack.mu.Unlock()
-	}
+	g.h, g.v = g.h.sortLists(), g.v.sortLists()
 }

@@ -2,8 +2,6 @@ package hypergraph
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
@@ -17,8 +15,7 @@ import (
 //     one line per hyperedge listing its incident vertex ids — the shape of
 //     the classic hMETIS/PaToH hypergraph formats;
 //   - the binary format, which is the graph codec of compress.go ("CHG2"
-//     magic, counts, both packed incidence sides). ReadBinary also reads
-//     the legacy CHG1 layout.
+//     magic, counts, both packed incidence sides).
 
 // WriteText writes g in the text format.
 func WriteText(w io.Writer, g *Bipartite) error {
@@ -86,55 +83,19 @@ func ReadText(r io.Reader) (*Bipartite, error) {
 }
 
 // WriteBinary writes g in the binary format: the graph codec's encoding
-// (AppendCompressed), whatever g's in-memory representation.
+// (AppendCompressed).
 func WriteBinary(w io.Writer, g *Bipartite) error {
 	_, err := w.Write(AppendCompressed(nil, g))
 	return err
 }
 
-// ReadBinary parses the binary format, or the legacy CHG1 format, into a
-// raw (uncompressed) graph.
+// ReadBinary parses the binary format. The graph holds the decoded payload
+// as it is, lists in encoded order; anything else, the retired CHG1 layout
+// included, is rejected.
 func ReadBinary(r io.Reader) (*Bipartite, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	if bytes.HasPrefix(data, legacyMagic) {
-		return readCHG1(data[len(legacyMagic):])
-	}
-	g, err := DecodeCompressed(data)
-	if err != nil {
-		return nil, err
-	}
-	return g.Decompress(), nil
-}
-
-// legacyMagic heads the CHG1 format, read for one release and no longer
-// written: u32 numV, numH, numAdj, hOff[numH+1], hAdj[numAdj], little endian.
-var legacyMagic = []byte("CHG1")
-
-// readCHG1 parses a CHG1 body (after the magic), rebuilding the vertex-side
-// mirror through Build. The array lengths are checked against the body, so
-// only numV needs a plausibility bound.
-func readCHG1(b []byte) (*Bipartite, error) {
-	word := func(i uint64) uint32 { return binary.LittleEndian.Uint32(b[4*i:]) }
-	if len(b) < 12 {
-		return nil, fmt.Errorf("hypergraph: truncated CHG1 header: %w", io.ErrUnexpectedEOF)
-	}
-	numV, numH, numAdj := word(0), uint64(word(1)), word(2)
-	adjAt := 4 + numH // word index of hAdj[0]; hOff starts at word 3
-	if numV > 1<<30 || adjAt+uint64(numAdj) > uint64(len(b))/4 {
-		return nil, fmt.Errorf("hypergraph: truncated or implausible CHG1 (%d/%d/%d)", numV, numH, numAdj)
-	}
-	hs := make([][]uint32, numH)
-	for h := range hs {
-		lo, hi := word(3+uint64(h)), word(4+uint64(h))
-		if lo > hi || hi > numAdj {
-			return nil, fmt.Errorf("hypergraph: corrupt offsets at %d", h)
-		}
-		for i := lo; i < hi; i++ {
-			hs[h] = append(hs[h], word(adjAt+uint64(i)))
-		}
-	}
-	return Build(numV, hs)
+	return DecodeCompressed(data)
 }

@@ -2,44 +2,67 @@ package hypergraph_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"chgraph"
 	"chgraph/internal/hypergraph"
 )
 
-// TestReadHypergraphLegacyCHG1: the public reader still sniffs and loads a
-// legacy CHG1 file, to the same hypergraph as its CHG2 rewrite.
+// TestReadHypergraphLegacyCHG1: the public reader no longer sniffs CHG1. A
+// CHG1 file is not CHG2, so it falls to the text parser, which rejects its
+// binary header.
 func TestReadHypergraphLegacyCHG1(t *testing.T) {
-	g, err := chgraph.ReadHypergraph(bytes.NewReader(hypergraph.CHG1Fixture))
+	if g, err := chgraph.ReadHypergraph(bytes.NewReader(hypergraph.CHG1Fixture)); err == nil {
+		t.Fatalf("CHG1 fixture read as a %d-vertex hypergraph", g.NumVertices())
+	}
+}
+
+// TestReadHypergraphCHG2Payload: sorted CHG2 bytes come back out of
+// ReadHypergraph + WriteBinary byte for byte (the payload is kept, not
+// re-packed), and a body with unsorted lists comes back sorted, as
+// NewHypergraph would build it.
+func TestReadHypergraphCHG2Payload(t *testing.T) {
+	lists := [][]uint32{{4, 0, 3}, {2}, {}, {1, 4}}
+	sorted, err := chgraph.NewHypergraph(5, lists)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var chg2 bytes.Buffer
-	if err := g.WriteBinary(&chg2); err != nil {
+	var want bytes.Buffer
+	if err := sorted.WriteBinary(&want); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := chgraph.ReadHypergraph(&chg2)
-	if err != nil {
+	unsorted := hypergraph.MustBuild(5, lists)
+	var body bytes.Buffer
+	if err := hypergraph.WriteBinary(&body, unsorted); err != nil {
 		t.Fatal(err)
 	}
-	// TestReadBinaryLegacyCHG1 pins what ReadBinary decodes the fixture to.
-	want, err := hypergraph.ReadBinary(bytes.NewReader(hypergraph.CHG1Fixture))
-	if err != nil {
-		t.Fatal(err)
+	if bytes.Equal(body.Bytes(), want.Bytes()) {
+		t.Fatal("fixture lists encode already sorted")
 	}
-	want.SortAdjacency()
-	var wantText bytes.Buffer
-	if err := hypergraph.WriteText(&wantText, want); err != nil {
-		t.Fatal(err)
-	}
-	for name, h := range map[string]*chgraph.Hypergraph{"CHG1": g, "CHG2 rewrite": g2} {
-		var text bytes.Buffer
-		if err := h.WriteText(&text); err != nil {
+	for name, in := range map[string][]byte{"sorted": want.Bytes(), "unsorted": body.Bytes()} {
+		g, err := chgraph.ReadHypergraph(bytes.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var out bytes.Buffer
+		if err := g.WriteBinary(&out); err != nil {
 			t.Fatal(err)
 		}
-		if text.String() != wantText.String() {
-			t.Fatalf("%s read as\n%s\nwant\n%s", name, text.String(), wantText.String())
+		if !bytes.Equal(out.Bytes(), want.Bytes()) {
+			t.Fatalf("%s body read back as %x, want %x", name, out.Bytes(), want.Bytes())
 		}
+	}
+	// The same lists as text parse to the same graph.
+	g, err := chgraph.ReadHypergraph(strings.NewReader("5 4\n4 0 3\n2\n\n1 4\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := g.WriteBinary(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Fatal("text body read back differently from the CHG2 body")
 	}
 }

@@ -82,6 +82,8 @@ func (g *Bipartite) ApplyBatch(b Batch) (*Delta, error) {
 		HRemap:   make([]uint32, g.numH),
 		RemovedH: make([]uint32, 0, len(removed)),
 	}
+	// Survivors' lists come from one flat decode; Build copies them.
+	old := g.h.Unpack()
 	pins := make([][]uint32, 0, int(g.numH)-len(removed)+len(b.Add))
 	for h := uint32(0); h < g.numH; h++ {
 		if _, gone := removed[h]; gone {
@@ -90,7 +92,7 @@ func (g *Bipartite) ApplyBatch(b Batch) (*Delta, error) {
 			continue
 		}
 		d.HRemap[h] = uint32(len(pins))
-		pins = append(pins, g.IncidentVertices(h))
+		pins = append(pins, old.List(h))
 	}
 	sort.Slice(d.RemovedH, func(i, j int) bool { return d.RemovedH[i] < d.RemovedH[j] })
 
@@ -100,16 +102,9 @@ func (g *Bipartite) ApplyBatch(b Batch) (*Delta, error) {
 		pins = append(pins, ps)
 	}
 
-	ng, err := Build(g.numV, pins)
-	if err != nil {
+	var err error
+	if d.New, err = Build(g.numV, pins); err != nil {
 		return nil, err
 	}
-	if g.Compressed() {
-		// Compression is a property of the dataset's serving mode: the
-		// mutated successor keeps it so engines and wire codecs see one
-		// representation across a graph's whole lifetime.
-		ng = ng.Compress()
-	}
-	d.New = ng
 	return d, nil
 }

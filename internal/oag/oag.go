@@ -124,24 +124,18 @@ func Build(g *hypergraph.Bipartite, side Side, wMin uint32, chunks []hypergraph.
 	return BuildCapped(g, side, wMin, DefaultMaxDegree, chunks)
 }
 
-// sideAccessors returns the (neighborsOf, incidentOf) accessor pair for
-// building the given side's OAG over g. For a compressed-only graph the pair
-// is backed by two freshly bound cursors — two, not one, because every
-// counting loop holds a neighborsOf list while it calls incidentOf, and a
-// cursor's List result dies on its next List call. The pair is single-
-// goroutine; concurrent workers must each take their own.
-func sideAccessors(g *hypergraph.Bipartite, side Side) (neighborsOf, incidentOf func(uint32) []uint32) {
-	if !g.Compressed() {
-		if side == Hyperedges {
-			return g.IncidentVertices, g.IncidentHyperedges
-		}
-		return g.IncidentHyperedges, g.IncidentVertices
+// unpackSides decodes both incidence sides of g once and returns the
+// (neighborsOf, incidentOf) pair for building the given side's OAG: node
+// a's mids, and a mid's nodes. The counting loops read every list, mostly
+// out of order, so one flat decode beats a cursor's per-list block seek.
+// The pair is read-only and shared by parallel workers; it lives for one
+// build.
+func unpackSides(g *hypergraph.Bipartite, side Side) (neighborsOf, incidentOf func(uint32) []uint32) {
+	h, v := g.PackedH().Unpack(), g.PackedV().Unpack()
+	if side == Hyperedges {
+		return h.List, v.List
 	}
-	np, ip := g.PackedH(), g.PackedV()
-	if side == Vertices {
-		np, ip = ip, np
-	}
-	return np.NewCursor().List, ip.NewCursor().List
+	return v.List, h.List
 }
 
 // BuildCapped is Build with an explicit per-node neighbor cap (0 = no cap).
@@ -155,8 +149,13 @@ func BuildCapped(g *hypergraph.Bipartite, side Side, wMin uint32, maxDeg int, ch
 	} else {
 		n = g.NumVertices()
 	}
-	neighborsOf, incidentOf := sideAccessors(g, side)
+	neighborsOf, incidentOf := unpackSides(g, side)
+	return buildFrom(side, n, wMin, maxDeg, chunks, neighborsOf, incidentOf)
+}
 
+// buildFrom is BuildCapped's counting build over already decoded sides
+// (wMin >= 1).
+func buildFrom(side Side, n, wMin uint32, maxDeg int, chunks []hypergraph.Chunk, neighborsOf, incidentOf func(uint32) []uint32) *OAG {
 	chunkOf := makeChunkIndex(n, chunks)
 
 	o := &OAG{side: side, n: n}
@@ -339,16 +338,14 @@ func BuildParallelCapped(g *hypergraph.Bipartite, side Side, wMin uint32, maxDeg
 	o := &OAG{side: side, n: n}
 	adjTmp := make([][]wedge, n)
 	chunkOps := make([]uint64, len(chunks))
+	neighborsOf, incidentOf := unpackSides(g, side)
 
 	par.For(workers, len(chunks), func(ci int) {
 		ch := chunks[ci]
 		// The counting pass is the serial one restricted to this chunk's
 		// node range; within-chunk peers are b in (a, ch.Hi), so all writes
 		// to adjTmp land inside [ch.Lo, ch.Hi) and never race. The scatter
-		// scratch is pooled per worker instead of allocated per chunk. The
-		// accessor pair is per-chunk: cursor-backed accessors on a
-		// compressed graph are single-goroutine.
-		neighborsOf, incidentOf := sideAccessors(g, side)
+		// scratch is pooled per worker instead of allocated per chunk.
 		scr := getScratch(n)
 		count, touched := scr.count, scr.touched
 		var ops uint64
@@ -553,7 +550,7 @@ func countedOverlap(g *hypergraph.Bipartite, a, b uint32) uint32 {
 		if _, ok := set[v]; !ok {
 			continue
 		}
-		if len(g.IncidentHyperedges(v)) > HubSkipThreshold {
+		if g.VertexDegree(v) > HubSkipThreshold {
 			continue
 		}
 		n++

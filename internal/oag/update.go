@@ -73,12 +73,11 @@ func UpdateCapped(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
 		n = r.NewG.NumVertices()
 		oldMids = r.OldG.NumHyperedges()
 	}
-	neighborsOf, incidentOf := sideAccessors(r.NewG, side)
-	_, oldIncidentOf := sideAccessors(r.OldG, side)
+	neighborsOf, incidentOf := unpackSides(r.NewG, side)
 
-	dirty, ok := markDirty(old, r, n, oldMids, incidentOf, oldIncidentOf)
+	dirty, ok := markDirty(old, r, n, oldMids, neighborsOf, incidentOf)
 	if !ok {
-		return BuildCapped(r.NewG, side, wMin, maxDeg, r.NewChunks)
+		return buildFrom(side, n, wMin, maxDeg, r.NewChunks, neighborsOf, incidentOf)
 	}
 
 	var dirtyCount uint32
@@ -88,7 +87,7 @@ func UpdateCapped(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
 		}
 	}
 	if dirtyCount > n/2 {
-		return BuildCapped(r.NewG, side, wMin, maxDeg, r.NewChunks)
+		return buildFrom(side, n, wMin, maxDeg, r.NewChunks, neighborsOf, incidentOf)
 	}
 
 	// oldOf inverts the node remap so clean nodes can find their old list.
@@ -175,11 +174,15 @@ func UpdateCapped(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
 }
 
 // markDirty computes the set of new-id nodes whose neighbor lists must be
-// recounted, per the closure rules in the package comment. ok is false when
-// the rewire is too coarse to track incrementally (chunking appeared or
-// disappeared wholesale) and the caller should rebuild.
+// recounted, per the closure rules in the package comment. neighborsOf and
+// incidentOf read the new graph; the old graph is read only through mid
+// degrees and the lists of removed mids. ok is false when the rewire is too
+// coarse to track incrementally (chunking appeared or disappeared
+// wholesale) and the caller should rebuild.
 func markDirty(old *OAG, r Rewire, n, oldMids uint32,
-	incidentOf, oldIncidentOf func(uint32) []uint32) (dirty []bool, ok bool) {
+	neighborsOf, incidentOf func(uint32) []uint32) (dirty []bool, ok bool) {
+	oldMidDeg, oldMidList := midAccess(r.OldG, old.side)
+	newMidDeg, _ := midAccess(r.NewG, old.side)
 
 	dirty = make([]bool, n)
 	chunkChanged := make([]bool, n)
@@ -226,7 +229,7 @@ func markDirty(old *OAG, r Rewire, n, oldMids uint32,
 			if r.MidRemap[om] != hypergraph.Gone {
 				continue
 			}
-			peers := oldIncidentOf(om)
+			peers := oldMidList(om)
 			if len(peers) > HubSkipThreshold {
 				continue
 			}
@@ -246,8 +249,7 @@ func markDirty(old *OAG, r Rewire, n, oldMids uint32,
 		if nm == hypergraph.Gone {
 			continue
 		}
-		oldDeg := len(oldIncidentOf(om))
-		newDeg := len(incidentOf(nm))
+		oldDeg, newDeg := oldMidDeg(om), newMidDeg(nm)
 		if oldDeg == newDeg {
 			continue
 		}
@@ -261,7 +263,7 @@ func markDirty(old *OAG, r Rewire, n, oldMids uint32,
 	// Rule 5: two-hop expansion — survivors that share a (non-hub) mid with
 	// an added or chunk-moved node may gain an edge their stored list
 	// cannot predict.
-	twoHop := func(a uint32, neighborsOf func(uint32) []uint32) {
+	twoHop := func(a uint32) {
 		for _, mid := range neighborsOf(a) {
 			peers := incidentOf(mid)
 			if len(peers) > HubSkipThreshold {
@@ -272,16 +274,12 @@ func markDirty(old *OAG, r Rewire, n, oldMids uint32,
 			}
 		}
 	}
-	// A fresh accessor pair: twoHop holds a neighborsOf list across the
-	// incidentOf the caller passed in, which on a compressed graph is a
-	// distinct cursor, so the interleaving is safe.
-	neighborsOf, _ := sideAccessors(r.NewG, old.side)
 	for _, a := range r.AddedNodes {
-		twoHop(a, neighborsOf)
+		twoHop(a)
 	}
 	for na := uint32(0); na < n; na++ {
 		if chunkChanged[na] {
-			twoHop(na, neighborsOf)
+			twoHop(na)
 		}
 	}
 
@@ -302,6 +300,16 @@ func markDirty(old *OAG, r Rewire, n, oldMids uint32,
 		}
 	}
 	return dirty, true
+}
+
+// midAccess returns, for the given OAG side over g, each mid's degree and
+// a cold accessor for its list (a fresh decode per call, for the few
+// removed mids markDirty reads).
+func midAccess(g *hypergraph.Bipartite, side Side) (deg func(uint32) uint32, list func(uint32) []uint32) {
+	if side == Hyperedges {
+		return g.VertexDegree, g.IncidentHyperedges
+	}
+	return g.HyperedgeDegree, g.IncidentVertices
 }
 
 // remapID applies a (possibly nil = identity) remap.

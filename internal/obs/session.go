@@ -79,11 +79,10 @@ func (m *SessionMetrics) RecordHostAllocs(n uint64) {
 
 // RecordDatasetFootprint accumulates one dataset's adjacency storage
 // footprint into the session totals: adjBytes is the in-memory adjacency
-// size (offsets + neighbor storage, both incidence directions — compressed
-// or raw, whichever representation the session executes on) and bipEdges its
-// bipartite edge count. Callers record each dataset exactly once, at load;
-// the summary derives bytes_per_edge from the two sums, which is what the
-// bench gate's memory wall ratchets.
+// size (offsets + packed neighbor storage, both incidence directions) and
+// bipEdges its bipartite edge count. Callers record each dataset exactly
+// once, at load; the summary derives bytes_per_edge from the two sums,
+// which is what the bench gate's memory wall ratchets.
 func (m *SessionMetrics) RecordDatasetFootprint(adjBytes, bipEdges uint64) {
 	m.mu.Lock()
 	m.adjBytes += adjBytes

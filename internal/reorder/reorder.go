@@ -7,7 +7,11 @@
 // charge it as preprocessing time.
 package reorder
 
-import "chgraph/internal/hypergraph"
+import (
+	"slices"
+
+	"chgraph/internal/hypergraph"
+)
 
 // Result is a reordered hypergraph plus accounting.
 type Result struct {
@@ -31,8 +35,9 @@ func Vertices(g *hypergraph.Bipartite) (*Result, error) {
 	assigned := make([]bool, numV)
 	var next uint32
 	var ops uint64
+	pins := g.PackedH().Unpack()
 	for h := uint32(0); h < g.NumHyperedges(); h++ {
-		for _, v := range g.IncidentVertices(h) {
+		for _, v := range pins.List(h) {
 			ops++
 			if !assigned[v] {
 				assigned[v] = true
@@ -53,18 +58,18 @@ func Vertices(g *hypergraph.Bipartite) (*Result, error) {
 
 	hs := make([][]uint32, g.NumHyperedges())
 	for h := uint32(0); h < g.NumHyperedges(); h++ {
-		old := g.IncidentVertices(h)
+		old := pins.List(h)
 		nv := make([]uint32, len(old))
 		for i, v := range old {
 			nv[i] = perm[v]
 			ops++
 		}
+		slices.Sort(nv) // index-ordered adjacency, packed once by Build
 		hs[h] = nv
 	}
 	ng, err := hypergraph.Build(numV, hs)
 	if err != nil {
 		return nil, err
 	}
-	ng.SortAdjacency()
 	return &Result{G: ng, VertexPerm: perm, Ops: ops}, nil
 }

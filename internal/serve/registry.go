@@ -1,12 +1,12 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,7 +17,7 @@ import (
 // /mutate can address real data by name instead of only the synthetic
 // recipes. Lifecycle:
 //
-//	PUT    /datasets/{tenant}/{name}  upload (text, or binary: "CHG2" or legacy "CHG1")
+//	PUT    /datasets/{tenant}/{name}  upload (text, or binary: "CHG2")
 //	GET    /datasets/{tenant}/{name}  metadata
 //	GET    /datasets/{tenant}         list the tenant's datasets
 //	DELETE /datasets/{tenant}/{name}  evict
@@ -227,7 +227,14 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	}
 	defer tn.release()
 
-	g, err := chgraph.ReadHypergraph(http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
+	// The format label comes from the body's magic, as ReadHypergraph
+	// sniffs it, never from the Content-Type header.
+	body := bufio.NewReader(http.MaxBytesReader(w, r.Body, s.opt.MaxUploadBytes))
+	format := "text"
+	if magic, _ := body.Peek(4); string(magic) == "CHG2" {
+		format = "binary"
+	}
+	g, err := chgraph.ReadHypergraph(body)
 	if err != nil {
 		tn.failed.Add(1)
 		var tooBig *http.MaxBytesError
@@ -237,10 +244,6 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		}
 		http.Error(w, "parse: "+err.Error(), http.StatusBadRequest)
 		return
-	}
-	format := "text"
-	if ct := r.Header.Get("Content-Type"); strings.Contains(ct, "octet-stream") {
-		format = "binary"
 	}
 	ds, old, err := s.registry.put(tenant, tn.lim, name, format, g)
 	if err != nil {

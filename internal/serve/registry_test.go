@@ -292,3 +292,53 @@ func TestRegistryUploadErrors(t *testing.T) {
 		t.Fatalf("bad name PUT: status %d: %s", code, out)
 	}
 }
+
+// TestRegistryUploadFormatFromMagic: the stored format label follows the
+// body's magic, whatever the Content-Type header says — CHG2 bytes sent as
+// text/plain are "binary", a text body sent as octet-stream is "text".
+func TestRegistryUploadFormatFromMagic(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Options{}))
+	defer ts.Close()
+	g, err := chgraph.ReadHypergraph(strings.NewReader(tinyHGR))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chg2 bytes.Buffer
+	if err := g.WriteBinary(&chg2); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, contentType string
+		body              []byte
+		want              string
+	}{
+		{"bin-as-text", "text/plain", chg2.Bytes(), "binary"},
+		{"text-as-bin", "application/octet-stream", []byte(tinyHGR), "text"},
+		{"bin", "application/octet-stream", chg2.Bytes(), "binary"},
+		{"text", "", []byte(tinyHGR), "text"},
+	} {
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/datasets/acme/"+c.name, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.contentType != "" {
+			req.Header.Set("Content-Type", c.contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: status %d: %s", c.name, resp.StatusCode, out)
+		}
+		var info DatasetInfo
+		if err := json.Unmarshal(out, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Format != c.want || info.NumVertices != 6 || info.NumHyperedges != 4 {
+			t.Fatalf("%s: format %q (%d vertices, %d hyperedges), want %q", c.name, info.Format, info.NumVertices, info.NumHyperedges, c.want)
+		}
+	}
+}

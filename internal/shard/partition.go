@@ -108,15 +108,18 @@ func Partition(g *hypergraph.Bipartite, k int, policy Policy, capFactor float64)
 		numV:            g.NumVertices(),
 		masks:           make([]uint64, g.NumVertices()),
 	}
+	// Both policies place hyperedges in index order, so one streaming
+	// cursor reads every pin list sequentially.
+	pins := g.PackedH().NewCursor()
 	switch policy {
 	case PolicyRange:
 		for s, ch := range hypergraph.Chunks(numH, k) {
 			for h := ch.Lo; h < ch.Hi; h++ {
-				a.place(g, h, uint32(s))
+				a.place(pins.List(h), h, uint32(s))
 			}
 		}
 	case PolicyGreedy:
-		a.greedy(g, capFactor)
+		a.greedy(g, pins, capFactor)
 	default:
 		return nil, fmt.Errorf("shard: unknown policy %q", policy)
 	}
@@ -124,13 +127,12 @@ func Partition(g *hypergraph.Bipartite, k int, policy Policy, capFactor float64)
 	return a, nil
 }
 
-// place records hyperedge h on shard s and folds its pins into the shard's
-// vertex membership.
-func (a *Assignment) place(g *hypergraph.Bipartite, h, s uint32) {
+// place records hyperedge h, whose pin list is pins, on shard s and folds
+// its pins into the shard's vertex membership.
+func (a *Assignment) place(pins []uint32, h, s uint32) {
 	a.Owner[h] = s
 	a.ShardHyperedges[s]++
 	bit := uint64(1) << s
-	pins := g.IncidentVertices(h)
 	a.ShardPins[s] += uint64(len(pins))
 	for _, v := range pins {
 		a.masks[v] |= bit
@@ -139,7 +141,7 @@ func (a *Assignment) place(g *hypergraph.Bipartite, h, s uint32) {
 
 // greedy is the single-pass streaming assigner: one scan over hyperedges in
 // index order, constant state per shard plus one membership mask per vertex.
-func (a *Assignment) greedy(g *hypergraph.Bipartite, capFactor float64) {
+func (a *Assignment) greedy(g *hypergraph.Bipartite, cur *hypergraph.AdjCursor, capFactor float64) {
 	if capFactor <= 0 {
 		capFactor = DefaultCapFactor
 	}
@@ -153,7 +155,7 @@ func (a *Assignment) greedy(g *hypergraph.Bipartite, capFactor float64) {
 	}
 	overlap := make([]uint64, k)
 	for h := uint32(0); h < g.NumHyperedges(); h++ {
-		pins := g.IncidentVertices(h)
+		pins := cur.List(h)
 		for s := range overlap {
 			overlap[s] = 0
 		}
@@ -186,7 +188,7 @@ func (a *Assignment) greedy(g *hypergraph.Bipartite, capFactor float64) {
 				}
 			}
 		}
-		a.place(g, h, uint32(best))
+		a.place(pins, h, uint32(best))
 	}
 }
 
@@ -194,8 +196,9 @@ func (a *Assignment) greedy(g *hypergraph.Bipartite, capFactor float64) {
 // hyperedges a vertex sources separately from the pins it receives) into the
 // masks and derives the replication metrics.
 func (a *Assignment) finishMetrics(g *hypergraph.Bipartite) {
+	srcs := g.PackedV().NewCursor()
 	for v := uint32(0); v < a.numV; v++ {
-		for _, h := range g.IncidentHyperedges(v) {
+		for _, h := range srcs.List(v) {
 			a.masks[v] |= uint64(1) << a.Owner[h]
 		}
 	}

@@ -93,8 +93,15 @@ func Materialize(g *hypergraph.Bipartite, a *Assignment, workers int) (*Partitio
 		}
 	}
 
+	// One flat decode of each side g's shards read, shared read-only by
+	// the parallel builders (only directed graphs need the vertex side).
+	pins := g.PackedH().Unpack()
+	var srcs hypergraph.Unpacked
+	if g.Directed() {
+		srcs = g.PackedV().Unpack()
+	}
 	errs := make([]error, k)
-	par.For(workers, k, func(i int) { errs[i] = p.Shards[i].build(g, a, p.hLocal) })
+	par.For(workers, k, func(i int) { errs[i] = p.Shards[i].build(g, a, p.hLocal, pins, srcs) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -103,11 +110,12 @@ func Materialize(g *hypergraph.Bipartite, a *Assignment, workers int) (*Partitio
 	return p, nil
 }
 
-// build constructs the shard's local CSR. Pin lists keep the global CSR's
+// build constructs the shard's local CSR from g's unpacked pin lists (and,
+// for directed graphs, source lists). Pin lists keep the global CSR's
 // per-hyperedge order and hypergraph.Build fills the vertex side in
 // ascending-hyperedge order, which together make the K=1 shard reproduce the
 // original CSR byte for byte.
-func (sh *Shard) build(g *hypergraph.Bipartite, a *Assignment, hLocal []uint32) error {
+func (sh *Shard) build(g *hypergraph.Bipartite, a *Assignment, hLocal []uint32, pins, srcs hypergraph.Unpacked) error {
 	numLV := uint32(len(sh.Vertices))
 	sh.vLocal = make([]uint32, g.NumVertices())
 	for i := range sh.vLocal {
@@ -117,9 +125,9 @@ func (sh *Shard) build(g *hypergraph.Bipartite, a *Assignment, hLocal []uint32) 
 		sh.vLocal[gv] = uint32(lv)
 	}
 
-	pins := make([][]uint32, len(sh.Hyperedges))
+	local := make([][]uint32, len(sh.Hyperedges))
 	for lh, gh := range sh.Hyperedges {
-		gp := g.IncidentVertices(gh)
+		gp := pins.List(gh)
 		lp := make([]uint32, len(gp))
 		for i, gv := range gp {
 			lp[i] = sh.vLocal[gv]
@@ -127,7 +135,7 @@ func (sh *Shard) build(g *hypergraph.Bipartite, a *Assignment, hLocal []uint32) 
 				return fmt.Errorf("shard %d: hyperedge %d pin vertex %d not materialized", sh.ID, gh, gv)
 			}
 		}
-		pins[lh] = lp
+		local[lh] = lp
 	}
 
 	var err error
@@ -136,23 +144,17 @@ func (sh *Shard) build(g *hypergraph.Bipartite, a *Assignment, hLocal []uint32) 
 		// walking vertices in ascending global order reproduces the
 		// original source ordering semantics (the vertex-side CSR is
 		// rebuilt in ascending-hyperedge order either way).
-		srcs := make([][]uint32, len(sh.Hyperedges))
+		localSrcs := make([][]uint32, len(sh.Hyperedges))
 		for lv, gv := range sh.Vertices {
-			for _, gh := range g.IncidentHyperedges(gv) {
+			for _, gh := range srcs.List(gv) {
 				if a.Owner[gh] == uint32(sh.ID) {
-					srcs[hLocal[gh]] = append(srcs[hLocal[gh]], uint32(lv))
+					localSrcs[hLocal[gh]] = append(localSrcs[hLocal[gh]], uint32(lv))
 				}
 			}
 		}
-		sh.G, err = hypergraph.BuildDirected(numLV, srcs, pins)
+		sh.G, err = hypergraph.BuildDirected(numLV, localSrcs, local)
 	} else {
-		sh.G, err = hypergraph.Build(numLV, pins)
-	}
-	if err == nil && g.Compressed() {
-		// Shards inherit the global graph's representation so per-shard
-		// engines run the compressed decode path and K-invariance holds in
-		// both modes.
-		sh.G = sh.G.Compress()
+		sh.G, err = hypergraph.Build(numLV, local)
 	}
 	return err
 }

@@ -13,8 +13,9 @@
 #                       growth here means a reuse path regressed to rebuilding
 #   bytes_per_edge    > MEM_TOL   % worse (default 10) -- adjacency bytes per
 #                       bipartite edge across the session's datasets (the
-#                       memory wall); bench-smoke runs compressed, so growth
-#                       here means the varint codec or CSR layout regressed
+#                       memory wall); every graph holds the packed CSR, so
+#                       growth here means the varint codec or CSR layout
+#                       regressed
 #
 # Usage: sh scripts/benchgate.sh [baseline.json] [fresh.json]
 # Tolerances are env-overridable (CYCLE_TOL=8 WALL_TOL=25 sh scripts/benchgate.sh).
