@@ -32,12 +32,15 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the host-parallelism benchmarks (Prepare and engine.Run with
-# Workers=1 vs all CPUs; speedup requires a multi-core host) and the timing
+# Workers=1 vs all CPUs; speedup requires a multi-core host), the timing
 # simulator's hot-loop benchmark (BenchmarkRunPhase, which fails if a warm
-# phase allocates). BENCHTIME=1x gives the quick smoke pass CI uses.
+# phase allocates) and the OAG build and chain generator host paths
+# (BenchmarkOAGBuild, BenchmarkChainGeneration; time and allocations).
+# BENCHTIME=1x gives the quick smoke pass CI uses.
 BENCHTIME ?= 3x
 bench:
 	$(GO) test ./internal/engine/ ./internal/sim/system/ -run xxx -bench 'Workers|RunPhase' -benchtime $(BENCHTIME)
+	$(GO) test . -run xxx -bench '^Benchmark(OAGBuild|ChainGeneration)$$' -benchtime $(BENCHTIME)
 
 # bench-smoke is the CI perf trace: one quick benchmark pass plus a scaled-
 # down bench session whose per-run timelines land in bench-metrics.json
@@ -109,4 +112,6 @@ fuzz:
 	done
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oag/ -run '^$$' -fuzz '^FuzzMutationSequence$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dist/ -run '^$$' -fuzz '^FuzzPrepareDecode$$' -fuzztime $(FUZZTIME)
+	for t in FuzzPrepareDecode FuzzStepDecode FuzzCommitDecode FuzzMarksDecode; do \
+		$(GO) test ./internal/dist/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done

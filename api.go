@@ -206,7 +206,7 @@ func (g *Hypergraph) Chains(side Side, wMin uint32, dMax int) []Chain {
 		oside = oag.Vertices
 		n = g.b.NumVertices()
 	}
-	o := oag.Build(g.b, oside, wMin, nil)
+	o := oag.Build(g.b, oside, wMin, nil, 1)
 	active := bitset.New(n)
 	for i := uint32(0); i < n; i++ {
 		active.Set(i)

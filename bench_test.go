@@ -78,16 +78,18 @@ func BenchmarkFig25GraphGenerality(b *testing.B)  { benchFigure(b, "fig25") }
 
 func BenchmarkOAGBuild(b *testing.B) {
 	g := gen.MustLoad("WEB", 0.25)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		oag.Build(g, oag.Hyperedges, 3, nil)
+		oag.Build(g, oag.Hyperedges, 3, nil, 1)
 	}
 }
 
 func BenchmarkChainGeneration(b *testing.B) {
 	g := gen.MustLoad("WEB", 0.25)
-	o := oag.Build(g, oag.Hyperedges, 3, nil)
+	o := oag.Build(g, oag.Hyperedges, 3, nil, 1)
 	n := g.NumHyperedges()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		active := bitset.New(n)

@@ -59,7 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 	ch := chunks[*chunk]
-	o := oag.Build(g, oside, uint32(*wmin), chunks)
+	o := oag.Build(g, oside, uint32(*wmin), chunks, 1)
 
 	active := bitset.New(n)
 	for i := ch.Lo; i < ch.Hi; i++ {

@@ -31,7 +31,7 @@ func allActive(n uint32) bitset.Bitmap {
 // and W_min=1, the chain rooted at h0 is <h0, h2, h1, h3>.
 func TestPaperChainExample(t *testing.T) {
 	g := fig1()
-	o := oag.BuildCapped(g, oag.Hyperedges, 1, 0, nil)
+	o := oag.Build(g, oag.Hyperedges, 1, nil, 1)
 	cs := Generate(o, 0, 4, allActive(4), DefaultDMax, nil)
 	if cs.NumChains() != 1 {
 		t.Fatalf("chains = %d, want 1", cs.NumChains())
@@ -108,7 +108,7 @@ func TestChainInvariantsFig1(t *testing.T) {
 		if side == oag.Vertices {
 			n = g.NumVertices()
 		}
-		o := oag.BuildCapped(g, side, 1, 0, nil)
+		o := oag.Build(g, side, 1, nil, 1)
 		chainInvariants(t, o, 0, n, allActive(n), DefaultDMax)
 	}
 }
@@ -126,7 +126,7 @@ func TestQuickChainInvariants(t *testing.T) {
 		}
 		g := hypergraph.MustBuild(numV, hs)
 		n := g.NumHyperedges()
-		o := oag.BuildCapped(g, oag.Hyperedges, 1+uint32(dMaxRaw%2), 0, nil)
+		o := oag.Build(g, oag.Hyperedges, 1+uint32(dMaxRaw%2), nil, 1)
 		active := bitset.New(n)
 		for i := uint32(0); i < n; i++ {
 			if rng.Intn(4) > 0 {
@@ -151,7 +151,7 @@ func TestDMaxBoundsStackDepth(t *testing.T) {
 		hs[i] = []uint32{0, 1, 2, 3}
 	}
 	g := hypergraph.MustBuild(4, hs)
-	o := oag.BuildCapped(g, oag.Hyperedges, 3, 0, nil)
+	o := oag.Build(g, oag.Hyperedges, 3, nil, 1)
 	cs := Generate(o, 0, 8, allActive(8), 3, nil)
 	for j := 0; j < cs.NumChains(); j++ {
 		if len(cs.Chain(j)) > 3 {
@@ -170,7 +170,7 @@ func TestBacktrackingExtendsChains(t *testing.T) {
 		{3, 5, 6}, // h2 = a2  (shares v3 with a)
 		{1, 7, 8}, // h3 = b   (shares v1 with r)
 	})
-	o := oag.BuildCapped(g, oag.Hyperedges, 1, 0, nil)
+	o := oag.Build(g, oag.Hyperedges, 1, nil, 1)
 	cs := Generate(o, 0, 4, allActive(4), DefaultDMax, nil)
 	if cs.NumChains() != 1 || len(cs.Chain(0)) != 4 {
 		t.Fatalf("expected one chain of 4 via backtracking, got %v", cs.Queue)
@@ -193,7 +193,7 @@ func (v *visitRecorder) ChainEnd()           { v.events = append(v.events, "end"
 
 func TestVisitorEventCounts(t *testing.T) {
 	g := fig1()
-	o := oag.BuildCapped(g, oag.Hyperedges, 1, 0, nil)
+	o := oag.Build(g, oag.Hyperedges, 1, nil, 1)
 	rec := &visitRecorder{}
 	cs := Generate(o, 0, 4, allActive(4), DefaultDMax, rec)
 	var selects, ends int

@@ -23,7 +23,7 @@ func TestChainsBeatIndexOrderOnGeneratedData(t *testing.T) {
 		g := gen.MustLoad(name, 0.25)
 		n := g.NumHyperedges()
 		chunks := hypergraph.Chunks(n, 16)
-		o := oag.Build(g, oag.Hyperedges, 3, chunks)
+		o := oag.Build(g, oag.Hyperedges, 3, chunks, 1)
 		ch := chunks[0]
 		active := bitset.New(n)
 		for i := ch.Lo; i < ch.Hi; i++ {
@@ -55,7 +55,7 @@ func TestChainsBeatIndexOrderOnGeneratedData(t *testing.T) {
 func TestChainDeterminism(t *testing.T) {
 	g := gen.MustLoad("FS", 0.1)
 	n := g.NumHyperedges()
-	o := oag.Build(g, oag.Hyperedges, 3, nil)
+	o := oag.Build(g, oag.Hyperedges, 3, nil, 1)
 	mk := func() ChainSet {
 		active := bitset.New(n)
 		for i := uint32(0); i < n; i++ {
@@ -82,7 +82,7 @@ func TestPartialFrontier(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, cores := range []int{1, 3, 16} {
 		chunks := hypergraph.Chunks(n, cores)
-		o := oag.Build(g, oag.Hyperedges, 3, chunks)
+		o := oag.Build(g, oag.Hyperedges, 3, chunks, 1)
 		active := bitset.New(n)
 		var count int
 		for i := uint32(0); i < n; i++ {
@@ -107,7 +107,7 @@ func TestPartialFrontier(t *testing.T) {
 func TestVisitorSelectsMatchQueue(t *testing.T) {
 	g := gen.MustLoad("WEB", 0.1)
 	n := g.NumHyperedges()
-	o := oag.Build(g, oag.Hyperedges, 3, nil)
+	o := oag.Build(g, oag.Hyperedges, 3, nil, 1)
 	var selected []uint32
 	rec := &selectRecorder{out: &selected}
 	active := bitset.New(n)

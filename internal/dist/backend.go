@@ -112,9 +112,12 @@ type rpcError struct {
 func (e *rpcError) Error() string { return fmt.Sprintf("worker replied %d: %s", e.status, e.msg) }
 
 // fatal reports protocol errors no retry can fix (a malformed request is
-// malformed forever); 409 is the rejoin signal and 5xx/transport errors are
-// retryable.
+// malformed forever, and so is a mark outside the shard); 409 is the rejoin
+// signal and 5xx/transport errors are retryable.
 func fatal(err error) bool {
+	if _, ok := err.(*markRangeError); ok {
+		return true
+	}
 	re, ok := err.(*rpcError)
 	return ok && re.status != http.StatusConflict && re.status >= 400 && re.status < 500
 }
@@ -265,7 +268,10 @@ func (b *remoteBackend) rejoin(ctx context.Context) error {
 	return nil
 }
 
-// stepRPC begins a phase on the worker and stores the returned marks.
+// stepRPC begins a phase on the worker and stores the returned marks, each
+// checked against the shard: Drain indexes the shard's id maps with them.
+// Hyperedge phases (0) mark (vertex, hyperedge) pairs, vertex phases (1)
+// (hyperedge, vertex) pairs.
 func (b *remoteBackend) stepRPC(ctx context.Context, phase int, frontier bitset.Bitmap) (int, error) {
 	hdr, err := json.Marshal(stepRequest{Session: b.session, Iter: b.iter, Phase: phase})
 	if err != nil {
@@ -277,7 +283,11 @@ func (b *remoteBackend) stepRPC(ctx context.Context, phase int, frontier bitset.
 	if err != nil {
 		return 0, err
 	}
-	if b.marks, err = decodeMarks(out, b.marks); err != nil {
+	numSrc, numDst := uint32(len(b.sh.Vertices)), uint32(len(b.sh.Hyperedges))
+	if phase == 1 {
+		numSrc, numDst = numDst, numSrc
+	}
+	if b.marks, err = decodeMarks(out, b.marks, numSrc, numDst); err != nil {
 		return 0, err
 	}
 	return len(b.marks) / 2, nil

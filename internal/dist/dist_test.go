@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -246,5 +248,92 @@ func TestDistUnreachableWorkerFailsCleanly(t *testing.T) {
 	o.RejoinTimeout = 300 * time.Millisecond
 	if _, err := RunCtx(context.Background(), g, algorithms.NewCC(), o); err == nil {
 		t.Fatal("unreachable worker: want error")
+	}
+}
+
+// markTamperer is a fake worker: a real Worker behind a handler that, on the
+// first /step of the given phase, appends one extra mark to the worker's
+// reply, built by bad from the shard's vertex and hyperedge counts.
+type markTamperer struct {
+	w        *Worker
+	phase    int
+	bad      func(numV, numE uint32) (uint32, uint32)
+	mu       sync.Mutex
+	numV     uint32
+	numE     uint32
+	tampered int
+}
+
+func (f *markTamperer) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var step stepRequest
+	switch r.URL.Path {
+	case "/prepare":
+		if _, g, err := decodePrepare(body); err == nil {
+			f.numV, f.numE = g.NumVertices(), g.NumHyperedges()
+		}
+	case "/step":
+		hdr, _, err := splitHeader(body)
+		if err != nil || json.Unmarshal(hdr, &step) != nil || step.Phase != f.phase || f.tampered > 0 {
+			break
+		}
+		rec := httptest.NewRecorder()
+		f.w.ServeHTTP(rec, r)
+		marks, err := decodeMarks(rec.Body.Bytes(), nil, f.numV+f.numE, f.numV+f.numE)
+		if rec.Code != http.StatusOK || err != nil {
+			http.Error(rw, fmt.Sprintf("fake worker: real step failed: %d %v", rec.Code, err), http.StatusInternalServerError)
+			return
+		}
+		src, dst := f.bad(f.numV, f.numE)
+		marks = append(marks, src, dst)
+		f.tampered++
+		rw.Write(appendMarks(nil, len(marks)/2, func(i int) (uint32, uint32) { return marks[2*i], marks[2*i+1] }))
+		return
+	}
+	f.w.ServeHTTP(rw, r)
+}
+
+// TestDistRejectsOutOfRangeMarks pins the coordinator's trust boundary on
+// /step replies: a mark naming a vertex or hyperedge the shard does not
+// have, on either side of either phase, fails the run with a clean error on
+// the first reply instead of indexing the shard's id maps out of range, and
+// is not retried.
+func TestDistRejectsOutOfRangeMarks(t *testing.T) {
+	cases := []struct {
+		name  string
+		phase int
+		bad   func(numV, numE uint32) (uint32, uint32)
+	}{
+		{"hyperedge phase, vertex src", 0, func(v, e uint32) (uint32, uint32) { return v, 0 }},
+		{"hyperedge phase, hyperedge dst", 0, func(v, e uint32) (uint32, uint32) { return 0, e }},
+		{"vertex phase, hyperedge src", 1, func(v, e uint32) (uint32, uint32) { return e, 0 }},
+		{"vertex phase, vertex dst", 1, func(v, e uint32) (uint32, uint32) { return 0, v }},
+		{"vertex phase, far out", 1, func(v, e uint32) (uint32, uint32) { return math.MaxUint32, math.MaxUint32 }},
+	}
+	g := smallHG(7)
+	eo := engine.Options{Kind: engine.ChGraph, Sys: testSys()}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fake := &markTamperer{w: NewWorker(), phase: tc.phase, bad: tc.bad}
+			srv := httptest.NewServer(fake)
+			t.Cleanup(srv.Close)
+			addrs := append(startHTTPWorkers(t, 1), srv.URL)
+			_, err := RunCtx(context.Background(), g, algorithms.NewPageRank(4), fastOpts(addrs, "", eo))
+			if err == nil || !strings.Contains(err.Error(), "outside the shard") {
+				t.Fatalf("run with an out-of-range mark: err = %v, want a mark range error", err)
+			}
+			fake.mu.Lock()
+			defer fake.mu.Unlock()
+			if fake.tampered != 1 {
+				t.Fatalf("tampered step replies = %d, want 1 (the error must not be retried)", fake.tampered)
+			}
+		})
 	}
 }

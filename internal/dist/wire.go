@@ -201,20 +201,40 @@ func appendMarks(dst []byte, n int, mark func(i int) (uint32, uint32)) []byte {
 }
 
 // decodeMarks reverses appendMarks into an interleaved (src, dst) slice.
-func decodeMarks(data []byte, into []uint32) ([]uint32, error) {
+// Every src id must be below numSrc and every dst id below numDst, the
+// shard-local counts of the phase's source and destination sides; a mark
+// outside them is a markRangeError.
+func decodeMarks(data []byte, into []uint32, numSrc, numDst uint32) ([]uint32, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("dist: truncated mark count")
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
-	if len(data) < 8*n {
+	if len(data)/8 < n {
 		return nil, fmt.Errorf("dist: truncated marks (want %d pairs, have %d bytes)", n, len(data))
 	}
 	into = into[:0]
-	for i := 0; i < 2*n; i++ {
-		into = append(into, binary.LittleEndian.Uint32(data[4*i:]))
+	for i := 0; i < n; i++ {
+		src, dst := binary.LittleEndian.Uint32(data[8*i:]), binary.LittleEndian.Uint32(data[8*i+4:])
+		if src >= numSrc || dst >= numDst {
+			return nil, &markRangeError{i, src, dst, numSrc, numDst}
+		}
+		into = append(into, src, dst)
 	}
 	return into, nil
+}
+
+// markRangeError is a mark naming an element the shard does not have. The
+// worker and the coordinator disagree about the shard, so no retry can fix
+// it.
+type markRangeError struct {
+	i              int
+	src, dst       uint32
+	numSrc, numDst uint32
+}
+
+func (e *markRangeError) Error() string {
+	return fmt.Sprintf("dist: mark %d is (%d, %d), outside the shard's %d x %d", e.i, e.src, e.dst, e.numSrc, e.numDst)
 }
 
 // appendResolutions appends the resolution payload: uint32 count + one

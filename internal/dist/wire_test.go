@@ -211,7 +211,7 @@ func codecCopy(t *testing.T, g *hypergraph.Bipartite) *hypergraph.Bipartite {
 func TestMarksRoundTrip(t *testing.T) {
 	pairs := [][2]uint32{{0, 3}, {7, 7}, {1 << 20, 0}}
 	blob := appendMarks(nil, len(pairs), func(i int) (uint32, uint32) { return pairs[i][0], pairs[i][1] })
-	got, err := decodeMarks(blob, nil)
+	got, err := decodeMarks(blob, nil, 1<<20+1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,15 +220,21 @@ func TestMarksRoundTrip(t *testing.T) {
 		t.Fatalf("marks %v, want %v", got, want)
 	}
 	// Reuse: decoding a smaller set into the same slice must not allocate.
-	reused, err := decodeMarks(appendMarks(nil, 1, func(int) (uint32, uint32) { return 9, 9 }), got)
+	reused, err := decodeMarks(appendMarks(nil, 1, func(int) (uint32, uint32) { return 9, 9 }), got, 10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &reused[0] != &got[0] || len(reused) != 2 {
 		t.Fatalf("decode did not reuse backing array (len %d)", len(reused))
 	}
-	if _, err := decodeMarks(blob[:len(blob)-1], nil); err == nil {
+	if _, err := decodeMarks(blob[:len(blob)-1], nil, 1<<20+1, 8); err == nil {
 		t.Fatal("truncated marks: want error")
+	}
+	for _, lim := range [][2]uint32{{1 << 20, 8}, {1<<20 + 1, 7}} {
+		_, err := decodeMarks(blob, nil, lim[0], lim[1])
+		if _, ok := err.(*markRangeError); !ok || !fatal(err) {
+			t.Fatalf("limits %v: got %v, want a non-retryable markRangeError", lim, err)
+		}
 	}
 }
 

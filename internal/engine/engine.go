@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"chgraph/internal/algorithms"
@@ -154,7 +153,7 @@ func Prepare(g *hypergraph.Bipartite, cores int, wMin uint32) *Prep {
 // workers goroutines: the two sides build concurrently, and each side fans
 // its per-chunk OAG construction out across a worker pool (chunks are
 // independent by construction). Any workers value produces a byte-identical
-// Prep; workers <= 1 is the fully serial path.
+// Prep.
 func PrepareParallel(g *hypergraph.Bipartite, cores int, wMin uint32, workers int) *Prep {
 	p := &Prep{
 		Cores:   cores,
@@ -162,20 +161,14 @@ func PrepareParallel(g *hypergraph.Bipartite, cores int, wMin uint32, workers in
 		VChunks: hypergraph.Chunks(g.NumVertices(), cores),
 		HChunks: hypergraph.Chunks(g.NumHyperedges(), cores),
 	}
-	if workers <= 1 {
-		p.VOAG = oag.Build(g, oag.Vertices, wMin, p.VChunks)
-		p.HOAG = oag.Build(g, oag.Hyperedges, wMin, p.HChunks)
-		return p
-	}
 	sideWorkers := (workers + 1) / 2
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.VOAG = oag.BuildParallel(g, oag.Vertices, wMin, p.VChunks, sideWorkers)
-	}()
-	p.HOAG = oag.BuildParallel(g, oag.Hyperedges, wMin, p.HChunks, sideWorkers)
-	wg.Wait()
+	par.For(workers, 2, func(i int) {
+		if i == 0 {
+			p.VOAG = oag.Build(g, oag.Vertices, wMin, p.VChunks, sideWorkers)
+		} else {
+			p.HOAG = oag.Build(g, oag.Hyperedges, wMin, p.HChunks, sideWorkers)
+		}
+	})
 	return p
 }
 

@@ -9,6 +9,7 @@ import (
 	"chgraph/internal/algorithms"
 	"chgraph/internal/gen"
 	"chgraph/internal/hypergraph"
+	"chgraph/internal/oag"
 	"chgraph/internal/sim/system"
 )
 
@@ -221,6 +222,30 @@ func TestPreprocessCharging(t *testing.T) {
 	hygra := HygraPrepCycles(g, DefaultPrepCost())
 	if with.PreprocessCycles <= hygra {
 		t.Fatal("ChGraph preprocessing should exceed Hygra's")
+	}
+}
+
+// TestOAGStorageIsModelledCSR pins Figure 21(b) to the arrays the simulator
+// models: the OAG storage a Prep reports is exactly OAG_offset (n+1 entries),
+// OAG_edge and OAG_weight (one entry each per directed edge), 4 bytes per
+// entry, summed over the V-OAG and the H-OAG.
+func TestOAGStorageIsModelledCSR(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		g := smallHG(seed)
+		for _, wMin := range []uint32{1, 3} {
+			prep := Prepare(g, 4, wMin)
+			var want uint64
+			for _, o := range []*oag.OAG{prep.VOAG, prep.HOAG} {
+				want += 4 * (uint64(o.NumNodes()) + 1 + 2*uint64(o.NumEdges()))
+			}
+			if prep.VOAG.NumNodes() != g.NumVertices() || prep.HOAG.NumNodes() != g.NumHyperedges() {
+				t.Fatalf("seed %d: OAG node counts %d/%d, graph %d/%d", seed,
+					prep.VOAG.NumNodes(), prep.HOAG.NumNodes(), g.NumVertices(), g.NumHyperedges())
+			}
+			if got := prep.OAGStorageBytes(); got != want {
+				t.Fatalf("seed %d wMin %d: OAGStorageBytes = %d, modelled CSR arrays = %d", seed, wMin, got, want)
+			}
+		}
 	}
 }
 

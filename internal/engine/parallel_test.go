@@ -78,8 +78,8 @@ func TestOAGBuildParallelMatchesSerial(t *testing.T) {
 			if side == oag.Hyperedges {
 				chunks = prep.HChunks
 			}
-			serial := oag.Build(g, side, 1, chunks)
-			par6 := oag.BuildParallel(g, side, 1, chunks, 6)
+			serial := oag.Build(g, side, 1, chunks, 1)
+			par6 := oag.Build(g, side, 1, chunks, 6)
 			if !reflect.DeepEqual(serial, par6) {
 				t.Fatalf("seed %d side %v: parallel OAG differs from serial", seed, side)
 			}

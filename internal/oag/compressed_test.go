@@ -16,7 +16,7 @@ func referenceOAG(g *hypergraph.Bipartite, side Side, wMin uint32, maxDeg int, c
 	if side == Vertices {
 		n, nodeList, midList = g.NumVertices(), g.IncidentHyperedges, g.IncidentVertices
 	}
-	chunkOf := makeChunkIndex(n, chunks)
+	chunkOf := chunkIndex(tiling(chunks, n), n)
 	adj := make([][]wedge, n)
 	for a := uint32(0); a < n; a++ {
 		count := map[uint32]uint32{}
@@ -32,7 +32,7 @@ func referenceOAG(g *hypergraph.Bipartite, side Side, wMin uint32, maxDeg int, c
 			}
 		}
 		for b, w := range count {
-			if w >= wMin && (chunkOf == nil || chunkOf[a] == chunkOf[b]) {
+			if w >= wMin && chunkOf[a] == chunkOf[b] {
 				adj[a] = append(adj[a], wedge{b, w})
 			}
 		}
@@ -87,10 +87,10 @@ func TestCompressedBuildMatchesRaw(t *testing.T) {
 				got  *OAG
 				ref  [][]wedge
 			}{
-				{"serial", BuildCapped(g, side, 2, 0, nil), referenceOAG(g, side, 2, 0, nil)},
-				{"capped", Build(g, side, 1, nil), referenceOAG(g, side, 1, DefaultMaxDegree, nil)},
-				{"chunked", BuildCapped(g, side, 1, 4, chunks), referenceOAG(g, side, 1, 4, chunks)},
-				{"parallel", BuildParallelCapped(g, side, 1, 4, chunks, 3), referenceOAG(g, side, 1, 4, chunks)},
+				{"serial", build(g, side, 2, 0, nil, 1), referenceOAG(g, side, 2, 0, nil)},
+				{"capped", Build(g, side, 1, nil, 1), referenceOAG(g, side, 1, DefaultMaxDegree, nil)},
+				{"chunked", build(g, side, 1, 4, chunks, 1), referenceOAG(g, side, 1, 4, chunks)},
+				{"parallel", build(g, side, 1, 4, chunks, 3), referenceOAG(g, side, 1, 4, chunks)},
 			}
 			for _, tc := range cases {
 				if !matchesReference(tc.got, tc.ref) {
@@ -107,7 +107,7 @@ func TestCompressedBuildMatchesRaw(t *testing.T) {
 func TestCompressedUpdateMatchesRaw(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		g := randomHG(seed)
-		old := Build(g, Hyperedges, 2, nil)
+		old := Build(g, Hyperedges, 2, nil, 1)
 		var batch hypergraph.Batch
 		batch.RemoveHyperedges(0)
 		batch.AddHyperedges([]uint32{0, 1, 2})

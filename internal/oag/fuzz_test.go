@@ -10,8 +10,9 @@ import (
 // FuzzMutationSequence drives an evolving hypergraph through a byte-coded
 // stream of interleaved mutations — removes, adds, batch flushes, removes of
 // nonexistent ids — and checks after every applied batch that the
-// incrementally updated H- and V-OAGs are byte-equal to fresh builds on the
-// mutated graph. Invariants: no panic on any input; invalid batches fail
+// incrementally updated H- and V-OAGs are byte-equal to fresh serial and
+// parallel builds on the mutated graph, which match the brute-force
+// reference. Invariants: no panic on any input; invalid batches fail
 // cleanly without mutating anything; incremental always equals rebuild.
 //
 // Op encoding (one byte per op, arg = b >> 2):

@@ -9,15 +9,14 @@
 // maximally-overlapped successor without sorting at run time.
 //
 // GLA partitions hyperedges and vertices into per-core chunks, each with its
-// own OAG; Build therefore optionally drops edges that cross chunk
-// boundaries, which is equivalent to building one OAG per chunk.
+// own OAG; Build therefore drops edges that cross chunk boundaries, which is
+// equivalent to building one OAG per chunk.
 package oag
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-	"unsafe"
 
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/par"
@@ -30,12 +29,14 @@ const DefaultWMin = 3
 
 // DefaultMaxDegree bounds each node's retained OAG neighbors to its
 // strongest few overlaps. The paper bounds OAG size with W_min alone
-// (Figure 21(b): +13-20% storage over the bipartite CSR); on densely
+// (Figure 21(b): +14-20% storage over the bipartite CSR); on densely
 // clustered hypergraphs W_min leaves near-clique OAGs, so we additionally
 // keep only the top-weight neighbors per node — the chain generator only
 // ever follows a node's strongest unvisited neighbor, so truncating the
-// weak tail preserves chains while keeping the OAG within the paper's
-// storage envelope.
+// weak tail preserves chains. The cap bounds the OAG arrays at 4*(n+1+16n)
+// bytes per side; on the synthetic datasets, whose clusters are denser than
+// the paper's, they still measure +41% to +121% over the bipartite CSR at
+// scale 0.35 (EXPERIMENTS.md, Figure 21).
 const DefaultMaxDegree = 8
 
 // HubSkipThreshold bounds the counting pass: intermediaries (shared
@@ -66,170 +67,141 @@ func (s Side) String() string {
 	return "V-OAG"
 }
 
-// inlineDeg is the number of neighbor slots carried inside a nodeHot
-// record. The default per-node cap (DefaultMaxDegree = 8) fits inline with
-// room to spare; only uncapped builds ever spill.
-const inlineDeg = 14
-
-// nodeHotBytes is the record size — exactly one cache line.
-const nodeHotBytes = 64
-
-// nodeHot is the per-node hot record of the cache-conscious OAG layout
-// (DESIGN.md §17): everything the chain generator's neighbor scan touches —
-// the node's CSR offset, degree and neighbor ids — packed into a single
-// 64-byte cache line. The generator's hot loop (core.scanNeighbor) follows
-// chains node to node in data-dependent order; with the historical
-// off/adj split each visit touched two or three lines, with this layout it
-// touches one. Nodes with more than inlineDeg neighbors (possible only in
-// uncapped builds) store their list in the spill array and keep its start
-// index in nbr[0].
-type nodeHot struct {
-	off uint32
-	deg uint32
-	nbr [inlineDeg]uint32
-}
-
-// The layout contract above is load-bearing: a nodeHot must be exactly one
-// cache line.
-var _ = [1]struct{}{}[nodeHotBytes-unsafe.Sizeof(nodeHot{})]
-
-// OAG is a weighted undirected overlap graph. Logically it is still the
-// paper's CSR (Offset/Weight index a flat entry space, which the engines'
-// address modelling relies on); physically the hot fields live in one
-// 64-byte record per node and the weights — never read while generating
-// chains, only during address-free overlap checks and validation — are
-// split into a cold side table aligned with the logical CSR entry index.
-// Neighbor lists are sorted by descending weight (ties broken by ascending
-// node id).
+// OAG is a weighted undirected overlap graph in the paper's CSR form
+// (Figure 13): node a's neighbors are adj[off[a]:off[a+1]], sorted by
+// descending weight (ties broken by ascending node id), and w holds the
+// weight of every adj entry. off, adj and w are the OAG_offset, OAG_edge and
+// OAG_weight arrays the engines' address modelling indexes.
 type OAG struct {
-	side  Side
-	n     uint32
-	hot   []nodeHot
-	spill []uint32
-	// w is the cold side table: the weight of entry i of the logical CSR.
-	w []uint32
-
-	// buildOps counts the abstract work units spent constructing the OAG
-	// (pair touches + sort comparisons); the preprocessing cost model of
-	// Figure 21/22 converts this to cycles.
+	side     Side
+	off      []uint32 // n+1 entries
+	adj, w   []uint32
 	buildOps uint64
 }
 
 // Build constructs the OAG for one side of g with the given overlap
-// threshold wMin, keeping at most DefaultMaxDegree neighbors per node. Use
-// BuildCapped to override the cap. If chunks is non-empty, edges crossing
-// chunk boundaries are dropped (per-chunk OAGs, §IV-B); nodes keep their
-// global ids.
-func Build(g *hypergraph.Bipartite, side Side, wMin uint32, chunks []hypergraph.Chunk) *OAG {
-	return BuildCapped(g, side, wMin, DefaultMaxDegree, chunks)
+// threshold wMin, keeping at most DefaultMaxDegree neighbors per node.
+// Edges crossing chunk boundaries are dropped (per-chunk OAGs, §IV-B);
+// nodes keep their global ids. A nil chunks is one chunk over every node;
+// any other list must tile [0, n) in ascending order, as hypergraph.Chunks
+// does, or Build panics. Chunks are independent, so their builds fan out
+// across at most workers goroutines (serially when workers <= 1); the
+// result, BuildOps included, does not depend on workers.
+func Build(g *hypergraph.Bipartite, side Side, wMin uint32, chunks []hypergraph.Chunk, workers int) *OAG {
+	return build(g, side, wMin, DefaultMaxDegree, chunks, workers)
 }
 
-// unpackSides decodes both incidence sides of g once and returns the
-// (neighborsOf, incidentOf) pair for building the given side's OAG: node
+// build is Build with an explicit per-node neighbor cap (0 = no cap).
+func build(g *hypergraph.Bipartite, side Side, wMin uint32, maxDeg int, chunks []hypergraph.Chunk, workers int) *OAG {
+	s := unpackSides(g, side)
+	return s.build(max(wMin, 1), maxDeg, tiling(chunks, s.n), workers)
+}
+
+// sides is one side's decoded incidence, read by the counting kernel: node
 // a's mids, and a mid's nodes. The counting loops read every list, mostly
 // out of order, so one flat decode beats a cursor's per-list block seek.
-// The pair is read-only and shared by parallel workers; it lives for one
-// build.
-func unpackSides(g *hypergraph.Bipartite, side Side) (neighborsOf, incidentOf func(uint32) []uint32) {
+// It is read-only and shared by parallel workers; it lives for one build.
+type sides struct {
+	side                    Side
+	n                       uint32
+	neighborsOf, incidentOf func(uint32) []uint32
+}
+
+func unpackSides(g *hypergraph.Bipartite, side Side) *sides {
 	h, v := g.PackedH().Unpack(), g.PackedV().Unpack()
 	if side == Hyperedges {
-		return h.List, v.List
+		return &sides{side, g.NumHyperedges(), h.List, v.List}
 	}
-	return v.List, h.List
+	return &sides{side, g.NumVertices(), v.List, h.List}
 }
 
-// BuildCapped is Build with an explicit per-node neighbor cap (0 = no cap).
-func BuildCapped(g *hypergraph.Bipartite, side Side, wMin uint32, maxDeg int, chunks []hypergraph.Chunk) *OAG {
-	if wMin == 0 {
-		wMin = 1
-	}
-	var n uint32
-	if side == Hyperedges {
-		n = g.NumHyperedges()
-	} else {
-		n = g.NumVertices()
-	}
-	neighborsOf, incidentOf := unpackSides(g, side)
-	return buildFrom(side, n, wMin, maxDeg, chunks, neighborsOf, incidentOf)
-}
-
-// buildFrom is BuildCapped's counting build over already decoded sides
-// (wMin >= 1).
-func buildFrom(side Side, n, wMin uint32, maxDeg int, chunks []hypergraph.Chunk, neighborsOf, incidentOf func(uint32) []uint32) *OAG {
-	chunkOf := makeChunkIndex(n, chunks)
-
-	o := &OAG{side: side, n: n}
-
-	// Counting pass per node: for node a, walk a's incidence lists two
-	// hops to find every b>a sharing at least one incidence, accumulating
-	// exact overlap counts in a scatter array.
-	scr := getScratch(n)
-	count, touched := scr.count, scr.touched
-	adjTmp := make([][]wedge, n)
-
-	for a := uint32(0); a < n; a++ {
-		touched = touched[:0]
-		for _, mid := range neighborsOf(a) {
-			peers := incidentOf(mid)
-			o.buildOps++
-			if len(peers) > HubSkipThreshold {
-				continue
-			}
-			for _, b := range peers {
-				o.buildOps++
-				if b <= a {
-					continue
-				}
-				if count[b] == 0 {
-					touched = append(touched, b)
-				}
-				count[b]++
-			}
+// overlaps is the counting kernel every build path shares. It walks node
+// a's incidence lists two hops, counts the shared mids of every peer b in
+// [lo, hi) other than a (mids with more than HubSkipThreshold incidences
+// count for nothing), and appends each peer whose count reaches wMin to dst.
+// It also returns the work units spent — one per mid, one per peer visited
+// — that the preprocessing cost model of Figure 21/22 converts to cycles.
+func (s *sides) overlaps(dst []wedge, a, lo, hi, wMin uint32, scr *buildScratch) ([]wedge, uint64) {
+	count, touched := scr.count, scr.touched[:0]
+	var ops uint64
+	for _, mid := range s.neighborsOf(a) {
+		peers := s.incidentOf(mid)
+		ops++
+		if len(peers) > HubSkipThreshold {
+			continue
 		}
-		for _, b := range touched {
-			w := count[b]
-			count[b] = 0
-			if w < wMin {
+		ops += uint64(len(peers))
+		for _, b := range peers {
+			if b < lo || b >= hi || b == a {
 				continue
 			}
-			if chunkOf != nil && chunkOf[a] != chunkOf[b] {
-				continue
+			if count[b] == 0 {
+				touched = append(touched, b)
 			}
-			adjTmp[a] = append(adjTmp[a], wedge{b, w})
-			adjTmp[b] = append(adjTmp[b], wedge{a, w})
+			count[b]++
 		}
 	}
-
+	for _, b := range touched {
+		if count[b] >= wMin {
+			dst = append(dst, wedge{b, count[b]})
+		}
+		count[b] = 0
+	}
 	scr.touched = touched
-	putScratch(scr)
+	return dst, ops
+}
 
-	for a := uint32(0); a < n; a++ {
-		o.buildOps += sortAndCap(adjTmp, a, maxDeg)
+// build counts every chunk of a tiling, mirroring each edge (a, b > a) into
+// both endpoints' lists. Both endpoints of every kept edge lie in one chunk,
+// so chunks write disjoint parts of adjTmp and can be built concurrently.
+func (s *sides) build(wMin uint32, maxDeg int, chunks []hypergraph.Chunk, workers int) *OAG {
+	adjTmp := make([][]wedge, s.n)
+	chunkOps := make([]uint64, len(chunks))
+	par.For(workers, len(chunks), func(ci int) {
+		ch := chunks[ci]
+		scr := getScratch(s.n)
+		var ops, k uint64
+		for a := ch.Lo; a < ch.Hi; a++ {
+			before := len(adjTmp[a])
+			adjTmp[a], k = s.overlaps(adjTmp[a], a, a+1, ch.Hi, wMin, scr)
+			ops += k
+			for _, e := range adjTmp[a][before:] {
+				adjTmp[e.b] = append(adjTmp[e.b], wedge{a, e.w})
+			}
+		}
+		putScratch(scr)
+		for a := ch.Lo; a < ch.Hi; a++ {
+			ops += sortAndCap(adjTmp, a, maxDeg)
+		}
+		chunkOps[ci] = ops
+	})
+	var ops uint64
+	for _, n := range chunkOps {
+		ops += n
 	}
-	o.assemble(adjTmp)
-	return o
+	return assemble(s.side, adjTmp, ops)
 }
 
 // wedge is one weighted adjacency entry during construction.
 type wedge struct{ b, w uint32 }
 
-// buildScratch is the counting-pass scatter state. The count array is
-// length n but provably all-zero between nodes (the flush loop resets every
+// buildScratch is the counting kernel's scatter state. The count array is
+// length n but provably all-zero between nodes (the kernel resets every
 // touched entry), so a recycled one needs no clearing — only growth.
 type buildScratch struct {
 	count   []uint32
 	touched []uint32
 }
 
-// scratchPool recycles counting-pass scratch across chunks and across
-// builds; without it BuildParallel allocated an n-element scatter array per
+// scratchPool recycles counting scratch across chunks and across builds;
+// without it a parallel build allocated an n-element scatter array per
 // chunk.
 var scratchPool = sync.Pool{New: func() any { return &buildScratch{} }}
 
 // getScratch borrows a scratch sized for n nodes. Reuse is keyed only by
 // capacity: a recycled count array is resliced, not reallocated, so its
 // contents carry over between builds of different-shaped graphs. That is
-// sound solely because of the all-zero invariant putScratch documents — the
+// sound solely because of the all-zero invariant the kernel keeps — the
 // regression test TestScratchReuseAcrossShapes pins it for shrinking,
 // regrowing and update-interleaved sequences.
 func getScratch(n uint32) *buildScratch {
@@ -242,12 +214,8 @@ func getScratch(n uint32) *buildScratch {
 	return s
 }
 
-// putScratch returns a scratch to the pool. The caller must have restored
-// the all-zero count invariant (every counting loop's flush resets each
-// touched entry); touched is truncated here so no stale node ids leak into
-// the next borrow. All return paths — serial build, parallel per-chunk
-// build, incremental update — go through this one helper so a new caller
-// cannot silently skip the invariant.
+// putScratch returns a scratch to the pool, truncating touched so no stale
+// node ids leak into the next borrow.
 func putScratch(s *buildScratch) {
 	s.touched = s.touched[:0]
 	scratchPool.Put(s)
@@ -273,155 +241,49 @@ func sortAndCap(adjTmp [][]wedge, a uint32, maxDeg int) uint64 {
 	return ops
 }
 
-// assemble flattens the per-node adjacency into the hot records, the spill
-// array and the cold weight table.
-func (o *OAG) assemble(adjTmp [][]wedge) {
-	var total, spillLen uint32
-	for a := uint32(0); a < o.n; a++ {
-		d := uint32(len(adjTmp[a]))
-		total += d
-		if d > inlineDeg {
-			spillLen += d
+// assemble flattens the per-node adjacency into the CSR arrays.
+func assemble(side Side, adjTmp [][]wedge, buildOps uint64) *OAG {
+	off := make([]uint32, len(adjTmp)+1)
+	for a, es := range adjTmp {
+		off[a+1] = off[a] + uint32(len(es))
+	}
+	o := &OAG{side: side, off: off, buildOps: buildOps}
+	o.adj = make([]uint32, off[len(adjTmp)])
+	o.w = make([]uint32, len(o.adj))
+	for a, es := range adjTmp {
+		for i, e := range es {
+			o.adj[off[a]+uint32(i)] = e.b
+			o.w[off[a]+uint32(i)] = e.w
 		}
 	}
-	o.hot = make([]nodeHot, o.n)
-	o.spill = make([]uint32, 0, spillLen)
-	o.w = make([]uint32, 0, total)
-	var off uint32
-	for a := uint32(0); a < o.n; a++ {
-		es := adjTmp[a]
-		h := &o.hot[a]
-		h.off, h.deg = off, uint32(len(es))
-		off += h.deg
-		if h.deg <= inlineDeg {
-			for i, e := range es {
-				h.nbr[i] = e.b
-			}
-		} else {
-			h.nbr[0] = uint32(len(o.spill))
-			for _, e := range es {
-				o.spill = append(o.spill, e.b)
-			}
-		}
-		for _, e := range es {
-			o.w = append(o.w, e.w)
-		}
-	}
-}
-
-// BuildParallel is Build with host-side parallelism: per-chunk OAG
-// construction fans out across at most workers goroutines. Because chunks
-// drop all cross-chunk edges, every chunk's subgraph is independent and the
-// result — adjacency, weights, and BuildOps accounting — is identical to the
-// serial Build on the same inputs. workers <= 1, a missing or non-tiling
-// chunk list, or a single chunk all fall back to the serial path.
-func BuildParallel(g *hypergraph.Bipartite, side Side, wMin uint32, chunks []hypergraph.Chunk, workers int) *OAG {
-	return BuildParallelCapped(g, side, wMin, DefaultMaxDegree, chunks, workers)
-}
-
-// BuildParallelCapped is BuildParallel with an explicit per-node neighbor
-// cap (0 = no cap).
-func BuildParallelCapped(g *hypergraph.Bipartite, side Side, wMin uint32, maxDeg int, chunks []hypergraph.Chunk, workers int) *OAG {
-	if wMin == 0 {
-		wMin = 1
-	}
-	var n uint32
-	if side == Hyperedges {
-		n = g.NumHyperedges()
-	} else {
-		n = g.NumVertices()
-	}
-	if workers <= 1 || len(chunks) <= 1 || !chunksTile(chunks, n) {
-		return BuildCapped(g, side, wMin, maxDeg, chunks)
-	}
-
-	o := &OAG{side: side, n: n}
-	adjTmp := make([][]wedge, n)
-	chunkOps := make([]uint64, len(chunks))
-	neighborsOf, incidentOf := unpackSides(g, side)
-
-	par.For(workers, len(chunks), func(ci int) {
-		ch := chunks[ci]
-		// The counting pass is the serial one restricted to this chunk's
-		// node range; within-chunk peers are b in (a, ch.Hi), so all writes
-		// to adjTmp land inside [ch.Lo, ch.Hi) and never race. The scatter
-		// scratch is pooled per worker instead of allocated per chunk.
-		scr := getScratch(n)
-		count, touched := scr.count, scr.touched
-		var ops uint64
-		for a := ch.Lo; a < ch.Hi && a < n; a++ {
-			touched = touched[:0]
-			for _, mid := range neighborsOf(a) {
-				peers := incidentOf(mid)
-				ops++
-				if len(peers) > HubSkipThreshold {
-					continue
-				}
-				for _, b := range peers {
-					ops++
-					if b <= a {
-						continue
-					}
-					if count[b] == 0 {
-						touched = append(touched, b)
-					}
-					count[b]++
-				}
-			}
-			for _, b := range touched {
-				w := count[b]
-				count[b] = 0
-				if w < wMin {
-					continue
-				}
-				if b >= ch.Hi {
-					continue // cross-chunk edge (b > a >= ch.Lo)
-				}
-				adjTmp[a] = append(adjTmp[a], wedge{b, w})
-				adjTmp[b] = append(adjTmp[b], wedge{a, w})
-			}
-		}
-		scr.touched = touched
-		putScratch(scr)
-		// Both endpoints of every surviving edge live in this chunk, so once
-		// the chunk's counting pass completes its adjacency is final: sort
-		// and cap here, inside the worker.
-		for a := ch.Lo; a < ch.Hi && a < n; a++ {
-			ops += sortAndCap(adjTmp, a, maxDeg)
-		}
-		chunkOps[ci] = ops
-	})
-
-	for _, ops := range chunkOps {
-		o.buildOps += ops
-	}
-	o.assemble(adjTmp)
 	return o
 }
 
-// chunksTile reports whether chunks exactly tile [0, n) in ascending order,
-// the precondition for race-free per-chunk construction.
-func chunksTile(chunks []hypergraph.Chunk, n uint32) bool {
+// tiling returns chunks after checking that they tile [0, n) in ascending
+// order, the precondition for race-free per-chunk construction; nil is one
+// chunk over [0, n).
+func tiling(chunks []hypergraph.Chunk, n uint32) []hypergraph.Chunk {
+	if chunks == nil {
+		return []hypergraph.Chunk{{Lo: 0, Hi: n}}
+	}
 	var next uint32
 	for _, ch := range chunks {
 		if ch.Lo != next || ch.Hi < ch.Lo {
-			return false
+			panic(fmt.Sprintf("oag: chunks do not tile [0, %d): chunk [%d, %d) after %d", n, ch.Lo, ch.Hi, next))
 		}
 		next = ch.Hi
 	}
-	return next >= n
+	if next != n {
+		panic(fmt.Sprintf("oag: chunks cover [0, %d), not [0, %d)", next, n))
+	}
+	return chunks
 }
 
-func makeChunkIndex(n uint32, chunks []hypergraph.Chunk) []int32 {
-	if len(chunks) == 0 {
-		return nil
-	}
+// chunkIndex maps every node of a tiling of [0, n) to its chunk.
+func chunkIndex(chunks []hypergraph.Chunk, n uint32) []int32 {
 	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = -1
-	}
 	for c, ch := range chunks {
-		for i := ch.Lo; i < ch.Hi && i < n; i++ {
+		for i := ch.Lo; i < ch.Hi; i++ {
 			idx[i] = int32(c)
 		}
 	}
@@ -440,40 +302,28 @@ func log2ceil(n int) int {
 func (o *OAG) Side() Side { return o.side }
 
 // NumNodes returns the number of OAG nodes.
-func (o *OAG) NumNodes() uint32 { return o.n }
+func (o *OAG) NumNodes() uint32 { return uint32(len(o.off) - 1) }
 
 // NumEdges returns the number of directed CSR entries (2x undirected edges).
-func (o *OAG) NumEdges() uint32 { return uint32(len(o.w)) }
+func (o *OAG) NumEdges() uint32 { return uint32(len(o.adj)) }
 
 // Degree returns the OAG degree of node a.
-func (o *OAG) Degree(a uint32) uint32 { return o.hot[a].deg }
+func (o *OAG) Degree(a uint32) uint32 { return o.off[a+1] - o.off[a] }
 
-// Offset returns the logical CSR offset of node a (for address modelling).
-func (o *OAG) Offset(a uint32) uint32 { return o.hot[a].off }
+// Offset returns the CSR offset of node a (for address modelling).
+func (o *OAG) Offset(a uint32) uint32 { return o.off[a] }
 
 // Neighbors returns node a's neighbor ids in descending-weight order.
 // The slice aliases internal storage.
-func (o *OAG) Neighbors(a uint32) []uint32 {
-	h := &o.hot[a]
-	if h.deg <= inlineDeg {
-		return h.nbr[:h.deg]
-	}
-	return o.spill[h.nbr[0] : h.nbr[0]+h.deg]
-}
+func (o *OAG) Neighbors(a uint32) []uint32 { return o.adj[o.off[a]:o.off[a+1]] }
 
 // Weights returns the weights aligned with Neighbors(a).
-func (o *OAG) Weights(a uint32) []uint32 {
-	h := &o.hot[a]
-	return o.w[h.off : h.off+h.deg]
-}
+func (o *OAG) Weights(a uint32) []uint32 { return o.w[o.off[a]:o.off[a+1]] }
 
-// Weight returns the weight of the i-th logical CSR entry.
-func (o *OAG) Weight(i uint32) uint32 { return o.w[i] }
-
-// StorageBytes returns the OAG's memory footprint (hot node records + spill
-// + cold weight table), the Figure 21(b) overhead quantity.
+// StorageBytes returns the size of the OAG_offset, OAG_edge and OAG_weight
+// arrays, the Figure 21(b) overhead quantity.
 func (o *OAG) StorageBytes() uint64 {
-	return nodeHotBytes*uint64(len(o.hot)) + 4*uint64(len(o.spill)+len(o.w))
+	return 4 * uint64(len(o.off)+len(o.adj)+len(o.w))
 }
 
 // BuildOps returns the abstract work units spent building the OAG, used by
@@ -483,24 +333,22 @@ func (o *OAG) BuildOps() uint64 { return o.buildOps }
 // Validate checks CSR consistency, weight ordering, symmetry and the W_min
 // threshold; used by property tests.
 func (o *OAG) Validate(g *hypergraph.Bipartite, wMin uint32) error {
-	if len(o.hot) != int(o.n) {
-		return fmt.Errorf("oag: hot record count %d != n %d", len(o.hot), o.n)
+	if len(o.off) == 0 || o.off[0] != 0 {
+		return fmt.Errorf("oag: offset array must start at 0")
 	}
-	type key struct{ a, b uint32 }
-	seen := make(map[key]uint32)
-	var off uint32
-	for a := uint32(0); a < o.n; a++ {
-		h := &o.hot[a]
-		if h.off != off {
-			return fmt.Errorf("oag: node %d offset %d != entry cursor %d", a, h.off, off)
+	n := o.NumNodes()
+	for a := uint32(0); a < n; a++ {
+		if o.off[a+1] < o.off[a] || o.off[a+1] > uint32(len(o.adj)) {
+			return fmt.Errorf("oag: node %d offsets [%d, %d) out of order or range", a, o.off[a], o.off[a+1])
 		}
-		off += h.deg
-		if h.deg > inlineDeg && uint64(h.nbr[0])+uint64(h.deg) > uint64(len(o.spill)) {
-			return fmt.Errorf("oag: node %d spill list overruns", a)
-		}
+	}
+	if o.off[n] != uint32(len(o.adj)) || len(o.w) != len(o.adj) {
+		return fmt.Errorf("oag: last offset %d, %d edges, %d weights disagree", o.off[n], len(o.adj), len(o.w))
+	}
+	for a := uint32(0); a < n; a++ {
 		ns, ws := o.Neighbors(a), o.Weights(a)
 		for i := range ns {
-			if ns[i] >= o.n {
+			if ns[i] >= n {
 				return fmt.Errorf("oag: neighbor %d out of range", ns[i])
 			}
 			if ns[i] == a {
@@ -512,19 +360,14 @@ func (o *OAG) Validate(g *hypergraph.Bipartite, wMin uint32) error {
 			if i > 0 && (ws[i] > ws[i-1] || (ws[i] == ws[i-1] && ns[i] <= ns[i-1])) {
 				return fmt.Errorf("oag: neighbors of %d not in descending weight order", a)
 			}
-			seen[key{a, ns[i]}] = ws[i]
-		}
-	}
-	if off != uint32(len(o.w)) {
-		return fmt.Errorf("oag: degree sum %d != weight table length %d", off, len(o.w))
-	}
-	// The per-node degree cap makes adjacency intentionally asymmetric (a
-	// may keep b among its strongest neighbors while b drops a), so only
-	// edge weights are validated, against the hypergraph itself.
-	for k, w := range seen {
-		if o.side == Hyperedges && g != nil {
-			if got := countedOverlap(g, k.a, k.b); got != w {
-				return fmt.Errorf("oag: edge (%d,%d) weight %d != overlap %d", k.a, k.b, w, got)
+			// The per-node degree cap makes adjacency intentionally
+			// asymmetric (a may keep b among its strongest neighbors while
+			// b drops a), so only edge weights are validated, against the
+			// hypergraph itself.
+			if o.side == Hyperedges && g != nil {
+				if got := countedOverlap(g, a, ns[i]); got != ws[i] {
+					return fmt.Errorf("oag: edge (%d,%d) weight %d != overlap %d", a, ns[i], ws[i], got)
+				}
 			}
 		}
 	}

@@ -20,7 +20,7 @@ func fig11() *hypergraph.Bipartite {
 
 func TestFig11HOAGAtWmin1(t *testing.T) {
 	g := fig11()
-	o := BuildCapped(g, Hyperedges, 1, 0, nil)
+	o := build(g, Hyperedges, 1, 0, nil, 1)
 	// Expected undirected edges: (h0,h2) w2, (h0,h3) w1 {v6}, (h1,h2) w1
 	// {v2}, (h1,h3) w2 {v1,v3}.
 	wantW := map[[2]uint32]uint32{
@@ -50,12 +50,12 @@ func TestFig11HOAGAtWmin1(t *testing.T) {
 
 func TestWMinThreshold(t *testing.T) {
 	g := fig11()
-	o := BuildCapped(g, Hyperedges, 2, 0, nil)
+	o := build(g, Hyperedges, 2, 0, nil, 1)
 	// Only the weight-2 edges survive.
 	if o.NumEdges() != 4 {
 		t.Fatalf("edges = %d, want 4 at wMin=2", o.NumEdges())
 	}
-	o = BuildCapped(g, Hyperedges, 3, 0, nil)
+	o = build(g, Hyperedges, 3, 0, nil, 1)
 	if o.NumEdges() != 0 {
 		t.Fatalf("edges = %d, want 0 at wMin=3", o.NumEdges())
 	}
@@ -63,7 +63,7 @@ func TestWMinThreshold(t *testing.T) {
 
 func TestVertexOAG(t *testing.T) {
 	g := fig11()
-	o := BuildCapped(g, Vertices, 1, 0, nil)
+	o := build(g, Vertices, 1, 0, nil, 1)
 	// v0 and v4 share h0 and h2 => weight 2.
 	found := false
 	for i, nb := range o.Neighbors(0) {
@@ -81,7 +81,7 @@ func TestVertexOAG(t *testing.T) {
 
 func TestWeightDescendingOrder(t *testing.T) {
 	g := randomHG(7)
-	o := BuildCapped(g, Hyperedges, 1, 0, nil)
+	o := build(g, Hyperedges, 1, 0, nil, 1)
 	for a := uint32(0); a < o.NumNodes(); a++ {
 		ws := o.Weights(a)
 		for i := 1; i < len(ws); i++ {
@@ -99,7 +99,7 @@ func TestDegreeCap(t *testing.T) {
 		hs[i] = []uint32{0, 1, 2, 3, 4}
 	}
 	g := hypergraph.MustBuild(5, hs)
-	o := BuildCapped(g, Hyperedges, 3, 4, nil)
+	o := build(g, Hyperedges, 3, 4, nil, 1)
 	for a := uint32(0); a < o.NumNodes(); a++ {
 		if o.Degree(a) > 4 {
 			t.Fatalf("degree %d exceeds cap", o.Degree(a))
@@ -119,14 +119,40 @@ func TestChunkRestriction(t *testing.T) {
 	// per-chunk OAG is empty at wMin=1 except... h0-h2 cross, h0-h3 cross,
 	// h1-h2 cross, h1-h3 cross: all cross.
 	chunks := []hypergraph.Chunk{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}}
-	o := BuildCapped(g, Hyperedges, 1, 0, chunks)
+	o := build(g, Hyperedges, 1, 0, chunks, 1)
 	if o.NumEdges() != 0 {
 		t.Fatalf("edges = %d, want 0 (all overlaps cross chunks)", o.NumEdges())
 	}
 	// Single chunk keeps everything.
-	o = BuildCapped(g, Hyperedges, 1, 0, []hypergraph.Chunk{{Lo: 0, Hi: 4}})
+	o = build(g, Hyperedges, 1, 0, []hypergraph.Chunk{{Lo: 0, Hi: 4}}, 1)
 	if o.NumEdges() != 8 {
 		t.Fatalf("edges = %d, want 8", o.NumEdges())
+	}
+}
+
+// TestChunksMustTile pins that a chunk list which does not tile the node
+// range panics instead of building a different OAG: gaps, overlaps, short
+// and long covers, each at one and at several workers.
+func TestChunksMustTile(t *testing.T) {
+	g := fig11() // 4 hyperedges
+	for _, chunks := range [][]hypergraph.Chunk{
+		{},                               // covers nothing
+		{{Lo: 0, Hi: 2}},                 // short
+		{{Lo: 0, Hi: 5}},                 // long
+		{{Lo: 0, Hi: 2}, {Lo: 3, Hi: 4}}, // gap
+		{{Lo: 0, Hi: 3}, {Lo: 2, Hi: 4}}, // overlap
+		{{Lo: 2, Hi: 4}, {Lo: 0, Hi: 2}}, // out of order
+	} {
+		for _, workers := range []int{1, 3} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("chunks %v workers %d: Build did not panic", chunks, workers)
+					}
+				}()
+				Build(g, Hyperedges, 1, chunks, workers)
+			}()
+		}
 	}
 }
 
@@ -160,7 +186,7 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 	f := func(seed int64, wMinRaw uint8) bool {
 		wMin := uint32(wMinRaw%3) + 1
 		g := randomHG(seed)
-		o := BuildCapped(g, Hyperedges, wMin, 0, nil)
+		o := build(g, Hyperedges, wMin, 0, nil, 1)
 		want := bruteOverlaps(g, wMin)
 		// Uncapped: every brute edge must appear in both directions with
 		// the right weight, and nothing else.
@@ -187,8 +213,8 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 
 func TestStorageAndBuildOps(t *testing.T) {
 	g := fig11()
-	o := BuildCapped(g, Hyperedges, 1, 0, nil)
-	want := uint64(64*4 + 4*8) // 4 one-line hot records + 8 cold weights, no spill
+	o := build(g, Hyperedges, 1, 0, nil, 1)
+	want := uint64(4 * (5 + 8 + 8)) // OAG_offset (n+1), OAG_edge and OAG_weight (2 per edge)
 	if o.StorageBytes() != want {
 		t.Fatalf("storage = %d, want %d", o.StorageBytes(), want)
 	}

@@ -17,6 +17,8 @@
 package oag
 
 import (
+	"slices"
+
 	"chgraph/internal/hypergraph"
 )
 
@@ -45,41 +47,33 @@ type Rewire struct {
 	// AddedMids lists new-id mids absent from the old graph (ascending).
 	AddedMids []uint32
 	// OldChunks and NewChunks are the per-core chunkings the two OAGs drop
-	// cross-chunk edges against (nil = unchunked).
+	// cross-chunk edges against; as in Build, nil is one chunk over every
+	// node and any other list must tile the node range.
 	OldChunks, NewChunks []hypergraph.Chunk
 }
 
-// Update derives the OAG of r.NewG from old (built for r.OldG) at the
-// default per-node neighbor cap. See UpdateCapped.
+// Update incrementally updates old (built for r.OldG) into the OAG a fresh
+// Build(r.NewG, old.Side(), wMin, r.NewChunks, workers) produces, recounting
+// only affected nodes. wMin must match the value old was built with. When
+// the dirty set grows past half the graph the whole update degenerates to a
+// fresh build (same result, less work).
 func Update(old *OAG, wMin uint32, r Rewire) *OAG {
-	return UpdateCapped(old, wMin, DefaultMaxDegree, r)
+	return update(old, wMin, DefaultMaxDegree, r)
 }
 
-// UpdateCapped incrementally updates old into the OAG a fresh
-// BuildCapped(r.NewG, old.Side(), wMin, maxDeg, r.NewChunks) would produce,
-// recounting only affected nodes. wMin and maxDeg must match the values old
-// was built with. When the dirty set grows past half the graph the whole
-// update degenerates to a fresh build (same result, less work).
-func UpdateCapped(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
-	if wMin == 0 {
-		wMin = 1
-	}
-	side := old.side
-	var n, oldMids uint32
-	if side == Hyperedges {
-		n = r.NewG.NumHyperedges()
+// update is Update with an explicit per-node neighbor cap, which must match
+// the one old was built with.
+func update(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
+	wMin = max(wMin, 1)
+	oldMids := r.OldG.NumHyperedges()
+	if old.side == Hyperedges {
 		oldMids = r.OldG.NumVertices()
-	} else {
-		n = r.NewG.NumVertices()
-		oldMids = r.OldG.NumHyperedges()
 	}
-	neighborsOf, incidentOf := unpackSides(r.NewG, side)
+	s := unpackSides(r.NewG, old.side)
+	n := s.n
+	oldChunks, newChunks := tiling(r.OldChunks, old.NumNodes()), tiling(r.NewChunks, n)
 
-	dirty, ok := markDirty(old, r, n, oldMids, neighborsOf, incidentOf)
-	if !ok {
-		return buildFrom(side, n, wMin, maxDeg, r.NewChunks, neighborsOf, incidentOf)
-	}
-
+	dirty := markDirty(old, r, s, oldMids, oldChunks, newChunks)
 	var dirtyCount uint32
 	for _, d := range dirty {
 		if d {
@@ -87,7 +81,7 @@ func UpdateCapped(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
 		}
 	}
 	if dirtyCount > n/2 {
-		return buildFrom(side, n, wMin, maxDeg, r.NewChunks, neighborsOf, incidentOf)
+		return s.build(wMin, maxDeg, newChunks, 1)
 	}
 
 	// oldOf inverts the node remap so clean nodes can find their old list.
@@ -95,58 +89,29 @@ func UpdateCapped(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
 	for i := range oldOf {
 		oldOf[i] = hypergraph.Gone
 	}
-	for oa := uint32(0); oa < old.n; oa++ {
+	for oa := uint32(0); oa < old.NumNodes(); oa++ {
 		if na := remapID(r.NodeRemap, oa); na != hypergraph.Gone {
 			oldOf[na] = oa
 		}
 	}
 
-	chunkNew := makeChunkIndex(n, r.NewChunks)
-	o := &OAG{side: side, n: n, buildOps: old.buildOps}
-	adjTmp := make([][]wedge, n)
-
-	// Recount pass: the Build counting loop restricted to dirty nodes,
-	// walking all peers b != a (each dirty node owns its full list; a clean
-	// neighbor's mirrored entry is proven unchanged, so it is never
+	// Recount pass: the counting kernel on dirty nodes, keeping all peers
+	// b != a of a's chunk one-sided (each dirty node owns its full list; a
+	// clean neighbor's mirrored entry is proven unchanged, so it is never
 	// touched).
+	adjTmp := make([][]wedge, n)
+	ops := old.buildOps
 	scr := getScratch(n)
-	count, touched := scr.count, scr.touched
-	for a := uint32(0); a < n; a++ {
-		if !dirty[a] {
-			continue
-		}
-		touched = touched[:0]
-		for _, mid := range neighborsOf(a) {
-			peers := incidentOf(mid)
-			o.buildOps++
-			if len(peers) > HubSkipThreshold {
+	for _, ch := range newChunks {
+		for a := ch.Lo; a < ch.Hi; a++ {
+			if !dirty[a] {
 				continue
 			}
-			for _, b := range peers {
-				o.buildOps++
-				if b == a {
-					continue
-				}
-				if count[b] == 0 {
-					touched = append(touched, b)
-				}
-				count[b]++
-			}
+			var k uint64
+			adjTmp[a], k = s.overlaps(nil, a, ch.Lo, ch.Hi, wMin, scr)
+			ops += k + sortAndCap(adjTmp, a, maxDeg)
 		}
-		for _, b := range touched {
-			w := count[b]
-			count[b] = 0
-			if w < wMin {
-				continue
-			}
-			if chunkNew != nil && chunkNew[a] != chunkNew[b] {
-				continue
-			}
-			adjTmp[a] = append(adjTmp[a], wedge{b, w})
-		}
-		o.buildOps += sortAndCap(adjTmp, a, maxDeg)
 	}
-	scr.touched = touched
 	putScratch(scr)
 
 	// Copy pass: clean nodes keep their old list, ids remapped. A clean
@@ -157,8 +122,7 @@ func UpdateCapped(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
 		if dirty[a] {
 			continue
 		}
-		oa := oldOf[a]
-		ns, ws := old.Neighbors(oa), old.Weights(oa)
+		ns, ws := old.Neighbors(oldOf[a]), old.Weights(oldOf[a])
 		if len(ns) == 0 {
 			continue
 		}
@@ -168,23 +132,19 @@ func UpdateCapped(old *OAG, wMin uint32, maxDeg int, r Rewire) *OAG {
 		}
 		adjTmp[a] = es
 	}
-
-	o.assemble(adjTmp)
-	return o
+	return assemble(old.side, adjTmp, ops)
 }
 
 // markDirty computes the set of new-id nodes whose neighbor lists must be
-// recounted, per the closure rules in the package comment. neighborsOf and
-// incidentOf read the new graph; the old graph is read only through mid
-// degrees and the lists of removed mids. ok is false when the rewire is too
-// coarse to track incrementally (chunking appeared or disappeared
-// wholesale) and the caller should rebuild.
-func markDirty(old *OAG, r Rewire, n, oldMids uint32,
-	neighborsOf, incidentOf func(uint32) []uint32) (dirty []bool, ok bool) {
+// recounted, per the closure rules in the package comment. s reads the new
+// graph; the old graph is read only through mid degrees and the lists of
+// removed mids. oldChunks and newChunks tile the old and new node ranges.
+func markDirty(old *OAG, r Rewire, s *sides, oldMids uint32, oldChunks, newChunks []hypergraph.Chunk) []bool {
+	n, neighborsOf, incidentOf := s.n, s.neighborsOf, s.incidentOf
 	oldMidDeg, oldMidList := midAccess(r.OldG, old.side)
 	newMidDeg, _ := midAccess(r.NewG, old.side)
 
-	dirty = make([]bool, n)
+	dirty := make([]bool, n)
 	chunkChanged := make([]bool, n)
 
 	// Rule 1: added nodes have no old list at all.
@@ -194,21 +154,16 @@ func markDirty(old *OAG, r Rewire, n, oldMids uint32,
 
 	// Rule 2: chunk-boundary shifts. A survivor whose chunk index changed
 	// may gain or lose every one of its edges.
-	if (r.OldChunks == nil) != (r.NewChunks == nil) {
-		return nil, false
-	}
-	if r.OldChunks != nil {
-		chunkOld := makeChunkIndex(old.n, r.OldChunks)
-		chunkNew := makeChunkIndex(n, r.NewChunks)
-		for oa := uint32(0); oa < old.n; oa++ {
-			na := remapID(r.NodeRemap, oa)
-			if na == hypergraph.Gone {
-				continue
-			}
-			if chunkOld[oa] != chunkNew[na] {
-				chunkChanged[na] = true
-				dirty[na] = true
-			}
+	chunkOld := chunkIndex(oldChunks, old.NumNodes())
+	chunkNew := chunkIndex(newChunks, n)
+	for oa := uint32(0); oa < old.NumNodes(); oa++ {
+		na := remapID(r.NodeRemap, oa)
+		if na == hypergraph.Gone {
+			continue
+		}
+		if chunkOld[oa] != chunkNew[na] {
+			chunkChanged[na] = true
+			dirty[na] = true
 		}
 	}
 
@@ -286,7 +241,7 @@ func markDirty(old *OAG, r Rewire, n, oldMids uint32,
 	// Rule 6: losses. A node storing a removed or chunk-moved neighbor must
 	// recount — the degree cap truncated its weak tail, so the slot the
 	// neighbor frees can only be refilled from a full recount.
-	for oa := uint32(0); oa < old.n; oa++ {
+	for oa := uint32(0); oa < old.NumNodes(); oa++ {
 		na := remapID(r.NodeRemap, oa)
 		if na == hypergraph.Gone || dirty[na] {
 			continue
@@ -299,7 +254,7 @@ func markDirty(old *OAG, r Rewire, n, oldMids uint32,
 			}
 		}
 	}
-	return dirty, true
+	return dirty
 }
 
 // midAccess returns, for the given OAG side over g, each mid's degree and
@@ -320,29 +275,11 @@ func remapID(remap []uint32, id uint32) uint32 {
 	return remap[id]
 }
 
-// Equal reports structural equality: side, node count, per-node logical CSR
-// offsets, neighbors and weights. BuildOps is deliberately excluded — an
-// incrementally updated OAG accounts only the update's own work, while its
-// structure must match the fresh build bit for bit.
+// Equal reports structural equality: side and the offset, neighbor and
+// weight arrays. BuildOps is deliberately excluded — an incrementally
+// updated OAG accounts only the update's own work, while its structure must
+// match the fresh build bit for bit.
 func (o *OAG) Equal(p *OAG) bool {
-	if o.side != p.side || o.n != p.n || len(o.w) != len(p.w) {
-		return false
-	}
-	for a := uint32(0); a < o.n; a++ {
-		if o.hot[a].off != p.hot[a].off || o.hot[a].deg != p.hot[a].deg {
-			return false
-		}
-		ons, pns := o.Neighbors(a), p.Neighbors(a)
-		for i := range ons {
-			if ons[i] != pns[i] {
-				return false
-			}
-		}
-	}
-	for i := range o.w {
-		if o.w[i] != p.w[i] {
-			return false
-		}
-	}
-	return true
+	return o.side == p.side && slices.Equal(o.off, p.off) &&
+		slices.Equal(o.adj, p.adj) && slices.Equal(o.w, p.w)
 }

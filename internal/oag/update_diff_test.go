@@ -29,8 +29,8 @@ func chunksFor(n uint32, parts int) []hypergraph.Chunk {
 
 func newDiffState(g *hypergraph.Bipartite, wMin uint32, maxDeg, parts int) *diffState {
 	s := &diffState{g: g, wMin: wMin, maxDeg: maxDeg, parts: parts}
-	s.hoag = BuildCapped(g, Hyperedges, wMin, maxDeg, chunksFor(g.NumHyperedges(), parts))
-	s.voag = BuildCapped(g, Vertices, wMin, maxDeg, chunksFor(g.NumVertices(), parts))
+	s.hoag = build(g, Hyperedges, wMin, maxDeg, chunksFor(g.NumHyperedges(), parts), 1)
+	s.voag = build(g, Vertices, wMin, maxDeg, chunksFor(g.NumVertices(), parts), 1)
 	return s
 }
 
@@ -46,18 +46,18 @@ func (s *diffState) apply(t *testing.T, b hypergraph.Batch) {
 	newH := chunksFor(d.New.NumHyperedges(), s.parts)
 	vCh := chunksFor(d.New.NumVertices(), s.parts) // numV never changes
 
-	gotH := UpdateCapped(s.hoag, s.wMin, s.maxDeg, Rewire{
+	gotH := update(s.hoag, s.wMin, s.maxDeg, Rewire{
 		OldG: s.g, NewG: d.New,
 		NodeRemap: d.HRemap, AddedNodes: d.AddedH,
 		OldChunks: oldH, NewChunks: newH,
 	})
-	gotV := UpdateCapped(s.voag, s.wMin, s.maxDeg, Rewire{
+	gotV := update(s.voag, s.wMin, s.maxDeg, Rewire{
 		OldG: s.g, NewG: d.New,
 		MidRemap: d.HRemap, AddedMids: d.AddedH,
 		OldChunks: vCh, NewChunks: vCh,
 	})
-	wantH := BuildCapped(d.New, Hyperedges, s.wMin, s.maxDeg, newH)
-	wantV := BuildCapped(d.New, Vertices, s.wMin, s.maxDeg, vCh)
+	wantH := build(d.New, Hyperedges, s.wMin, s.maxDeg, newH, 1)
+	wantV := build(d.New, Vertices, s.wMin, s.maxDeg, vCh, 1)
 	if !gotH.Equal(wantH) {
 		t.Fatalf("incremental H-OAG differs from fresh build (wMin=%d maxDeg=%d parts=%d, -%d/+%d hyperedges)",
 			s.wMin, s.maxDeg, s.parts, len(d.RemovedH), len(d.AddedH))
@@ -65,6 +65,14 @@ func (s *diffState) apply(t *testing.T, b hypergraph.Batch) {
 	if !gotV.Equal(wantV) {
 		t.Fatalf("incremental V-OAG differs from fresh build (wMin=%d maxDeg=%d parts=%d, -%d/+%d hyperedges)",
 			s.wMin, s.maxDeg, s.parts, len(d.RemovedH), len(d.AddedH))
+	}
+	if !build(d.New, Hyperedges, s.wMin, s.maxDeg, newH, 3).Equal(wantH) ||
+		!build(d.New, Vertices, s.wMin, s.maxDeg, vCh, 3).Equal(wantV) {
+		t.Fatalf("parallel build differs from serial build (wMin=%d maxDeg=%d parts=%d)", s.wMin, s.maxDeg, s.parts)
+	}
+	if !matchesReference(wantH, referenceOAG(d.New, Hyperedges, s.wMin, s.maxDeg, newH)) ||
+		!matchesReference(wantV, referenceOAG(d.New, Vertices, s.wMin, s.maxDeg, vCh)) {
+		t.Fatalf("fresh build differs from the brute-force reference (wMin=%d maxDeg=%d parts=%d)", s.wMin, s.maxDeg, s.parts)
 	}
 	if err := gotH.Validate(d.New, s.wMin); err != nil {
 		t.Fatalf("updated H-OAG invalid: %v", err)
@@ -95,9 +103,10 @@ func randomBatch(rng *rand.Rand, g *hypergraph.Bipartite, frac float64) hypergra
 	return b
 }
 
-// TestUpdateDifferentialRandom is the satellite-1 harness: random batch
-// sequences across wMin, degree cap and chunking settings, every step
-// checked against a fresh build on both OAG sides.
+// TestUpdateDifferentialRandom runs random batch sequences across wMin,
+// degree cap and chunking settings; every step checks the incremental
+// update, the serial build and the parallel build against each other and
+// the fresh build against the brute-force reference, on both OAG sides.
 func TestUpdateDifferentialRandom(t *testing.T) {
 	cfgs := []struct {
 		wMin   uint32
@@ -183,18 +192,18 @@ func TestScratchReuseAcrossShapes(t *testing.T) {
 	big := randomHG(21)    // ~dozens of nodes: grows the pooled scatter array
 	small := mutateSmall() // a handful of nodes: reslices it shorter
 	for i := 0; i < 3; i++ {
-		check(big, BuildCapped(big, Hyperedges, 1, 0, nil))
-		check(small, BuildCapped(small, Hyperedges, 1, 0, nil))
+		check(big, build(big, Hyperedges, 1, 0, nil, 1))
+		check(small, build(small, Hyperedges, 1, 0, nil, 1))
 		// Interleave the update path so its recount loop also inherits a
 		// differently-shaped recycled scratch.
 		d, err := small.ApplyBatch(hypergraph.Batch{Add: [][]uint32{{0, 1, 2}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := BuildCapped(small, Hyperedges, 1, 0, nil)
-		up := UpdateCapped(o, 1, 0, Rewire{OldG: small, NewG: d.New, AddedNodes: d.AddedH})
+		o := build(small, Hyperedges, 1, 0, nil, 1)
+		up := update(o, 1, 0, Rewire{OldG: small, NewG: d.New, AddedNodes: d.AddedH})
 		check(d.New, up)
-		check(big, BuildCapped(big, Hyperedges, 1, 0, nil))
+		check(big, build(big, Hyperedges, 1, 0, nil, 1))
 	}
 }
 
@@ -202,20 +211,21 @@ func mutateSmall() *hypergraph.Bipartite {
 	return hypergraph.MustBuild(4, [][]uint32{{0, 1, 2}, {1, 2, 3}, {0, 3}})
 }
 
-// TestUpdateMatchesAllBuildPaths pins the convenience wrappers against each
-// other: Build / BuildCapped / BuildParallel(Capped) and the Update wrapper
-// must all agree on every chunking layout, including tiled chunk indices.
+// TestUpdateMatchesAllBuildPaths pins the entry points against each other:
+// Build at one and at several workers, the capped internal build and the
+// Update wrapper must all agree on every chunking layout, BuildOps included
+// for the builds.
 func TestUpdateMatchesAllBuildPaths(t *testing.T) {
 	g := randomHG(17)
 	for _, parts := range []int{0, 1, 3} {
 		ch := chunksFor(g.NumHyperedges(), parts)
-		want := Build(g, Hyperedges, 2, ch)
+		want := Build(g, Hyperedges, 2, ch, 1)
 		for i, got := range []*OAG{
-			BuildCapped(g, Hyperedges, 2, DefaultMaxDegree, ch),
-			BuildParallel(g, Hyperedges, 2, ch, 4),
-			BuildParallelCapped(g, Hyperedges, 2, DefaultMaxDegree, ch, 4),
+			build(g, Hyperedges, 2, DefaultMaxDegree, ch, 1),
+			Build(g, Hyperedges, 2, ch, 4),
+			build(g, Hyperedges, 2, DefaultMaxDegree, ch, 4),
 		} {
-			if !got.Equal(want) {
+			if !got.Equal(want) || got.BuildOps() != want.BuildOps() {
 				t.Fatalf("parts=%d: build path %d disagrees with Build", parts, i)
 			}
 		}
@@ -227,13 +237,13 @@ func TestUpdateMatchesAllBuildPaths(t *testing.T) {
 		newCh := chunksFor(d.New.NumHyperedges(), parts)
 		rw := Rewire{OldG: g, NewG: d.New, NodeRemap: d.HRemap, AddedNodes: d.AddedH,
 			OldChunks: ch, NewChunks: newCh}
-		if got, fresh := Update(want, 2, rw), Build(d.New, Hyperedges, 2, newCh); !got.Equal(fresh) {
+		if got, fresh := Update(want, 2, rw), Build(d.New, Hyperedges, 2, newCh, 1); !got.Equal(fresh) {
 			t.Fatalf("parts=%d: Update wrapper disagrees with fresh Build", parts)
 		}
 	}
 
 	// Accessor smoke on a known fixture: side spellings, offsets, weights.
-	o := Build(g, Vertices, 1, nil)
+	o := Build(g, Vertices, 1, nil, 1)
 	if Hyperedges.String() == Vertices.String() || o.Side() != Vertices {
 		t.Fatalf("side accessors broken: %q %q %v", Hyperedges, Vertices, o.Side())
 	}
@@ -245,9 +255,51 @@ func TestUpdateMatchesAllBuildPaths(t *testing.T) {
 		if o.Offset(a)+o.Degree(a) != next {
 			t.Fatalf("node %d: offset %d + degree %d misses next offset", a, o.Offset(a), o.Degree(a))
 		}
-		for i, w := range o.Weights(a) {
-			if o.Weight(o.Offset(a)+uint32(i)) != w {
-				t.Fatalf("node %d edge %d: Weight accessor disagrees with Weights slice", a, i)
+		if len(o.Weights(a)) != len(o.Neighbors(a)) {
+			t.Fatalf("node %d: %d weights for %d neighbors", a, len(o.Weights(a)), len(o.Neighbors(a)))
+		}
+	}
+}
+
+// TestUpdateChunkingAppears updates across a change of chunking itself —
+// unchunked to chunked and back, and between chunk counts — which the dirty
+// rules treat as an ordinary boundary shift. Splitting off or merging back
+// a two-node tail chunk moves few nodes, so it runs the incremental path
+// rather than the dirty-majority rebuild.
+func TestUpdateChunkingAppears(t *testing.T) {
+	whole := func(uint32) []hypergraph.Chunk { return nil }
+	tail := func(n uint32) []hypergraph.Chunk {
+		if n < 2 {
+			return nil
+		}
+		return []hypergraph.Chunk{{Lo: 0, Hi: n - 2}, {Lo: n - 2, Hi: n}}
+	}
+	parts := func(k int) func(uint32) []hypergraph.Chunk {
+		return func(n uint32) []hypergraph.Chunk { return chunksFor(n, k) }
+	}
+	layouts := [][2]func(uint32) []hypergraph.Chunk{
+		{whole, tail}, {tail, whole}, {whole, parts(3)}, {parts(3), whole}, {parts(2), parts(4)},
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		g := randomHG(seed)
+		var batch hypergraph.Batch
+		if seed%2 == 0 {
+			batch.Remove = []uint32{0}
+		}
+		batch.Add = [][]uint32{{0, 1, 2}}
+		d, err := g.ApplyBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for li, l := range layouts {
+			for _, maxDeg := range []int{0, 4} {
+				oldCh, newCh := l[0](g.NumHyperedges()), l[1](d.New.NumHyperedges())
+				old := build(g, Hyperedges, 1, maxDeg, oldCh, 1)
+				got := update(old, 1, maxDeg, Rewire{OldG: g, NewG: d.New, NodeRemap: d.HRemap, AddedNodes: d.AddedH,
+					OldChunks: oldCh, NewChunks: newCh})
+				if want := build(d.New, Hyperedges, 1, maxDeg, newCh, 1); !got.Equal(want) {
+					t.Fatalf("seed %d layout %d maxDeg %d: update across a chunking change differs from a fresh build", seed, li, maxDeg)
+				}
 			}
 		}
 	}

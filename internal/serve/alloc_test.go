@@ -45,7 +45,19 @@ func TestServeCacheHitRunAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		do() // warm the worker's run path and the engine arena
 	}
-	warm := measure(8)
+	var warm float64
+	if raceEnabled {
+		// Under the race detector sync.Pool.Put drops one item in four at
+		// random, so about half the warm requests rebuild a pooled arena
+		// (~1100 allocations against ~150). The fewest allocations over
+		// single-request samples is the steady state the bounds are about.
+		warm = measure(1)
+		for i := 1; i < 16; i++ {
+			warm = min(warm, measure(1))
+		}
+	} else {
+		warm = measure(8)
+	}
 
 	t.Logf("cold request: %.0f allocs, warm cache-hit request: %.0f allocs", cold, warm)
 	if warm >= cold/10 {
