@@ -258,8 +258,6 @@ type RunConfig struct {
 	// DMax and WMin override the chain parameters.
 	DMax int
 	WMin uint32
-	// LLCBytes overrides the total last-level cache capacity.
-	LLCBytes uint64
 	// IncludePreprocessing charges modelled preprocessing time.
 	IncludePreprocessing bool
 	// Source sets the source vertex for BFS/BC/SSSP.
@@ -285,14 +283,11 @@ type RunConfig struct {
 	// ranges, the default) or "greedy" (streaming replication-minimizing
 	// assignment).
 	ShardPolicy string
-	// ShardCapFactor tunes the greedy policy's per-shard size cap
-	// (<=0 uses the default headroom).
-	ShardCapFactor float64
 	// DistWorkers, when non-empty, runs the computation distributed: one
 	// shard per address, each executed by a chgraph-worker process
 	// (internal/dist), with the frontier merge barrier driven over HTTP.
 	// The shard count is len(DistWorkers) — Shards is ignored — and
-	// ShardPolicy/ShardCapFactor configure the partitioner as for in-process
+	// ShardPolicy configures the partitioner as for in-process
 	// sharded runs. Crash-free distributed runs are bit-identical to the
 	// equivalent in-process sharded run; a run that recovered a worker crash
 	// keeps exact algorithm state but not simulated cycle counters
@@ -398,17 +393,11 @@ func Prepare(ctx context.Context, g *Hypergraph, cfg RunConfig) (*Prepared, erro
 	b := g.b
 	p := &Prepared{b: b, cores: eopt.Sys.Cores, wMin: eopt.WMin}
 	if cfg.Shards > 1 {
-		pol := shard.PolicyRange
-		if cfg.ShardPolicy != "" {
-			var err error
-			if pol, err = shard.ParsePolicy(cfg.ShardPolicy); err != nil {
-				return nil, err
-			}
+		pol, err := shardPolicy(cfg)
+		if err != nil {
+			return nil, err
 		}
-		sh, err := shard.Prepare(ctx, b, shard.Options{
-			Shards: cfg.Shards, Policy: pol, CapFactor: cfg.ShardCapFactor,
-			Engine: eopt,
-		})
+		sh, err := shard.Prepare(ctx, b, shard.Options{Shards: cfg.Shards, Policy: pol, Engine: eopt})
 		if err != nil {
 			return nil, err
 		}
@@ -422,15 +411,20 @@ func Prepare(ctx context.Context, g *Hypergraph, cfg RunConfig) (*Prepared, erro
 	return p, nil
 }
 
+// shardPolicy parses cfg.ShardPolicy (default shard.PolicyRange).
+func shardPolicy(cfg RunConfig) (shard.Policy, error) {
+	if cfg.ShardPolicy == "" {
+		return shard.PolicyRange, nil
+	}
+	return shard.ParsePolicy(cfg.ShardPolicy)
+}
+
 // prepOptions resolves the engine options a cfg-shaped run executes under
 // (shared by Run and Prepare so prepared artifacts always match).
 func prepOptions(cfg RunConfig) engine.Options {
 	sys := system.ScaledConfig()
 	if cfg.Cores > 0 {
 		sys.Cores = cfg.Cores
-	}
-	if cfg.LLCBytes > 0 {
-		sys = sys.WithLLCBytes(cfg.LLCBytes)
 	}
 	return engine.Options{
 		Kind: cfg.Engine, Sys: sys, DMax: cfg.DMax, WMin: cfg.WMin,
@@ -574,33 +568,22 @@ func RunContext(ctx context.Context, g *Hypergraph, algorithm string, cfg RunCon
 	var (
 		res  *engine.Result
 		sres *shard.Result
+		pol  shard.Policy
 		err  error
 	)
-	if len(cfg.DistWorkers) > 0 {
-		var pol shard.Policy
-		if cfg.ShardPolicy != "" {
-			if pol, err = shard.ParsePolicy(cfg.ShardPolicy); err != nil {
-				return nil, err
-			}
+	if len(cfg.DistWorkers) > 0 || cfg.Shards > 1 {
+		if pol, err = shardPolicy(cfg); err != nil {
+			return nil, err
 		}
-		sres, err = dist.RunCtx(ctx, b, alg, dist.Options{
-			Workers: cfg.DistWorkers, Policy: pol, CapFactor: cfg.ShardCapFactor,
-			Engine: eopt,
-		})
+	}
+	switch {
+	case len(cfg.DistWorkers) > 0:
+		sres, err = dist.RunCtx(ctx, b, alg, dist.Options{Workers: cfg.DistWorkers, Policy: pol, Engine: eopt})
 		if sres != nil {
 			res = sres.Result
 		}
-	} else if cfg.Shards > 1 {
-		pol := shard.PolicyRange
-		if cfg.ShardPolicy != "" {
-			if pol, err = shard.ParsePolicy(cfg.ShardPolicy); err != nil {
-				return nil, err
-			}
-		}
-		sopt := shard.Options{
-			Shards: cfg.Shards, Policy: pol, CapFactor: cfg.ShardCapFactor,
-			Engine: eopt,
-		}
+	case cfg.Shards > 1:
+		sopt := shard.Options{Shards: cfg.Shards, Policy: pol, Engine: eopt}
 		if cfg.Prepared != nil {
 			sopt.Pre = cfg.Prepared.sh
 		}
@@ -608,7 +591,7 @@ func RunContext(ctx context.Context, g *Hypergraph, algorithm string, cfg RunCon
 		if sres != nil {
 			res = sres.Result
 		}
-	} else {
+	default:
 		if cfg.Prepared != nil {
 			eopt.Prep = cfg.Prepared.prep
 		}

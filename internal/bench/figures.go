@@ -443,12 +443,11 @@ func Fig21(s *Session) *Table {
 	}
 	paperTime := map[string]string{"FS": "+39.42%", "OK": "+46.07%", "LJ": "+23.86%", "WEB": "+13.60%", "OG": "+43.06%"}
 	paperStore := map[string]string{"FS": "+18.19%", "OK": "+20.41%", "LJ": "+17.48%", "WEB": "+13.93%", "OG": "+16.73%"}
-	pc0 := engine.DefaultPrepCost()
 	for _, ds := range s.Cfg().Datasets {
 		g := s.Dataset(ds)
 		prep := s.Prep(ds, 3)
-		hyPrep := engine.HygraPrepCycles(g, pc0)
-		oagCycles := uint64(pc0.OAGCyclesPerOp * float64(prep.OAGBuildOps()) / float64(pc0.ParallelCores))
+		hyPrep := engine.PrepCycles(g.NumBipartiteEdges(), 0)
+		oagCycles := engine.PrepCycles(0, prep.OAGBuildOps())
 		t.Rows = append(t.Rows, []string{
 			ds,
 			fmt.Sprintf("+%.1f%%", 100*float64(oagCycles)/float64(hyPrep)),
@@ -512,14 +511,14 @@ func Fig24(s *Session) *Table {
 		ID: "Figure 24", Title: "PR runtime vs Hygra, with/without vertex reordering (reorder cost charged)",
 		Headers: []string{"dataset", "Hygra+Reorder", "ChGraph", "ChGraph+Reorder"},
 	}
-	pc0 := engine.DefaultPrepCost()
 	for _, ds := range s.Cfg().Datasets {
 		g := s.Dataset(ds)
 		rr, err := reorder.Vertices(g)
 		if err != nil {
 			panic(err)
 		}
-		reorderCycles := uint64(3 * float64(rr.Ops) / float64(pc0.ParallelCores) * pc0.OAGCyclesPerOp)
+		// A reordering work unit is charged three OAG work units.
+		reorderCycles := engine.PrepCycles(0, 3*rr.Ops)
 		res := s.RunAll([]RunSpec{
 			{Dataset: ds, Algo: "PR", Kind: engine.Hygra},
 			{Dataset: ds, Algo: "PR", Kind: engine.Hygra, Reordered: true},

@@ -121,8 +121,10 @@ func (g *Generator) GenerateInto(cs *ChainSet, o *oag.OAG, lo, hi uint32, active
 	cs.Queue = cs.Queue[:0]
 	cs.Starts = cs.Starts[:0]
 
-	if cap(g.stack) < dMax {
-		g.stack = make([]level, 0, dMax)
+	// A chain never holds more nodes than the chunk has, so the stack's
+	// capacity is bounded by both.
+	if n := min(dMax, int(hi-lo)+1); cap(g.stack) < n {
+		g.stack = make([]level, 0, n)
 	}
 	stack := g.stack[:0]
 	if g.scanV != v {

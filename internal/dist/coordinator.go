@@ -31,9 +31,8 @@ type Options struct {
 	// Workers are the worker base addresses ("host:port" or full
 	// "http://host:port" URLs), one per shard.
 	Workers []string
-	// Policy and CapFactor configure the partitioner (see shard.Options).
-	Policy    shard.Policy
-	CapFactor float64
+	// Policy selects the partitioner (default shard.PolicyRange).
+	Policy shard.Policy
 	// Engine configures each worker's engine. Observer and Prep are
 	// host-side and stay local: the coordinator forwards per-phase snapshots
 	// the workers capture, and each worker preps its own sub-hypergraph.
@@ -135,7 +134,7 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 		hostStart = time.Now()
 	}
 
-	a, err := shard.Partition(g, k, pol, opt.CapFactor)
+	a, err := shard.Partition(g, k, pol, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,10 @@ func prepareBody(tb testing.TB, req prepareRequest, g *hypergraph.Bipartite) []b
 }
 
 // FuzzPrepareDecode feeds arbitrary /prepare bodies through the worker's
-// decode path (header split, JSON header, graph codec): it must never
-// panic, and any graph it accepts must be internally consistent.
+// handshake (header split, JSON header, graph codec, engine options) and,
+// when the worker accepts one, through one /step over every vertex and its
+// /commit: nothing may panic, any graph the decoder accepts must be
+// internally consistent, and an accepted session must run.
 func FuzzPrepareDecode(f *testing.F) {
 	tiny := hypergraph.MustBuild(3, [][]uint32{{0, 1}, {1, 2}})
 	directed, err := hypergraph.BuildDirected(4, [][]uint32{{0, 1}, {2}}, [][]uint32{{2, 3}, {0}})
@@ -41,12 +43,31 @@ func FuzzPrepareDecode(f *testing.F) {
 		if len(body) > 1<<14 {
 			t.Skip()
 		}
-		_, g, err := decodePrepare(body)
+		req, g, err := decodePrepare(body)
 		if err != nil {
 			return
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted an inconsistent graph: %v", err)
+		}
+		w := &Worker{Workers: 1}
+		if _, err := w.prepare(body); err != nil {
+			return // options the engine rejects
+		}
+		all := bitset.New(g.NumVertices())
+		for v := uint32(0); v < g.NumVertices(); v++ {
+			all.Set(v)
+		}
+		out, err := w.step(stepBody(t, stepRequest{Session: req.Session, Iter: req.Iter}, all))
+		if err != nil {
+			t.Fatalf("step on an accepted session: %v", err)
+		}
+		marks, err := decodeMarks(out, nil, g.NumVertices(), g.NumHyperedges())
+		if err != nil {
+			t.Fatalf("worker replied with marks the coordinator rejects: %v", err)
+		}
+		if _, err := w.commit(commitBody(t, commitRequest{Session: req.Session, Iter: req.Iter}, make([]byte, len(marks)/2))); err != nil {
+			t.Fatalf("commit on an accepted session: %v", err)
 		}
 	})
 }

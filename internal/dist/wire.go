@@ -44,28 +44,23 @@ import (
 )
 
 // wireOptions is the JSON-serializable subset of engine.Options a worker
-// needs to open an instance bit-identical to an in-process shard engine.
-// Host-side knobs (Workers, Observer, Prep) deliberately stay local: they
-// cannot change simulated results.
+// needs to open an instance bit-identical to an in-process shard engine:
+// the model options that vary between runs. Host-side knobs (Workers,
+// Observer, Prep) deliberately stay local — they cannot change simulated
+// results — and ChargePreprocess travels in prepareRequest. A header from
+// a coordinator that still sends the retired model-constant fields (costs,
+// chain_fifo, edge_fifo, prefetch_distance, prep_cost) decodes: JSON
+// ignores unknown fields.
 type wireOptions struct {
-	Kind             string               `json:"kind"`
-	Sys              system.Config        `json:"sys"`
-	DMax             int                  `json:"d_max"`
-	WMin             uint32               `json:"w_min"`
-	Costs            engine.Costs         `json:"costs"`
-	ChainFIFO        int                  `json:"chain_fifo"`
-	EdgeFIFO         int                  `json:"edge_fifo"`
-	PrefetchDistance int                  `json:"prefetch_distance"`
-	PrepCost         engine.PrepCostModel `json:"prep_cost"`
+	Kind string        `json:"kind"`
+	Sys  system.Config `json:"sys"`
+	DMax int           `json:"d_max"`
+	WMin uint32        `json:"w_min"`
 }
 
 // toWireOptions flattens resolved engine options for the handshake.
 func toWireOptions(o engine.Options) wireOptions {
-	return wireOptions{
-		Kind: o.Kind.String(), Sys: o.Sys, DMax: o.DMax, WMin: o.WMin,
-		Costs: o.Costs, ChainFIFO: o.ChainFIFO, EdgeFIFO: o.EdgeFIFO,
-		PrefetchDistance: o.PrefetchDistance, PrepCost: o.PrepCost,
-	}
+	return wireOptions{Kind: o.Kind.String(), Sys: o.Sys, DMax: o.DMax, WMin: o.WMin}
 }
 
 // engineOptions reconstitutes worker-side engine options; workers is the
@@ -75,12 +70,7 @@ func (w wireOptions) engineOptions(workers int) (engine.Options, error) {
 	if err != nil {
 		return engine.Options{}, err
 	}
-	return engine.Options{
-		Kind: kind, Sys: w.Sys, DMax: w.DMax, WMin: w.WMin,
-		Costs: w.Costs, ChainFIFO: w.ChainFIFO, EdgeFIFO: w.EdgeFIFO,
-		PrefetchDistance: w.PrefetchDistance, PrepCost: w.PrepCost,
-		Workers: workers,
-	}, nil
+	return engine.Options{Kind: kind, Sys: w.Sys, DMax: w.DMax, WMin: w.WMin, Workers: workers}, nil
 }
 
 // prepareRequest is the /prepare JSON header; the request payload is the
@@ -167,6 +157,11 @@ func splitHeader(body []byte) (hdr, payload []byte, err error) {
 	return body[:n], body[n:], nil
 }
 
+// maxRejoinIter bounds prepareRequest.Iter: the worker fast-forwards its
+// engine one iteration at a time, so an absurd value would hold the worker
+// for as long as the loop runs.
+const maxRejoinIter = 1 << 24
+
 // decodePrepare splits a /prepare body into its JSON header and its shard
 // graph, which the worker's engine runs as decoded.
 func decodePrepare(body []byte) (prepareRequest, *hypergraph.Bipartite, error) {
@@ -180,6 +175,9 @@ func decodePrepare(body []byte) (prepareRequest, *hypergraph.Bipartite, error) {
 	}
 	if req.Session == "" {
 		return req, nil, fmt.Errorf("dist: prepare without session id")
+	}
+	if req.Iter < 0 || req.Iter > maxRejoinIter {
+		return req, nil, fmt.Errorf("dist: prepare at iteration %d outside [0, %d]", req.Iter, maxRejoinIter)
 	}
 	g, err := hypergraph.DecodeCompressed(payload)
 	if err != nil {

@@ -253,17 +253,39 @@ func TestResolutionsRoundTrip(t *testing.T) {
 }
 
 func TestWireOptionsRoundTrip(t *testing.T) {
-	eo := engine.Options{Kind: engine.ChGraphHCG, DMax: 9, WMin: 5, ChainFIFO: 3, EdgeFIFO: 17, PrefetchDistance: 2}.WithDefaults()
+	eo := engine.Options{Kind: engine.ChGraphHCG, DMax: 9, WMin: 5}.WithDefaults()
+	eo.Sys.L1.Ways = 4
 	back, err := toWireOptions(eo).engineOptions(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Kind != eo.Kind || back.DMax != eo.DMax || back.WMin != eo.WMin ||
-		back.ChainFIFO != eo.ChainFIFO || back.EdgeFIFO != eo.EdgeFIFO ||
-		back.PrefetchDistance != eo.PrefetchDistance || back.Workers != 4 {
+	if back.Kind != eo.Kind || back.DMax != eo.DMax || back.WMin != eo.WMin || back.Workers != 4 {
 		t.Fatalf("options round trip mismatch: %+v vs %+v", back, eo)
 	}
-	if !reflect.DeepEqual(back.Sys, eo.Sys) || !reflect.DeepEqual(back.Costs, eo.Costs) || !reflect.DeepEqual(back.PrepCost, eo.PrepCost) {
+	if !reflect.DeepEqual(back.Sys, eo.Sys) {
 		t.Fatal("sim config did not round trip")
+	}
+}
+
+// TestWireOptionsCoverEngineOptions fails when engine.Options gains a field
+// that wireOptions does not carry: a model option left off the wire would
+// silently break bit-identity between in-process and distributed runs. The
+// exemptions are host-side (Prep, Workers, Observer) or travel in
+// prepareRequest (ChargePreprocess).
+func TestWireOptionsCoverEngineOptions(t *testing.T) {
+	exempt := map[string]bool{"Prep": true, "Workers": true, "Observer": true, "ChargePreprocess": true}
+	wire := reflect.TypeOf(wireOptions{})
+	eo := reflect.TypeOf(engine.Options{})
+	for i := 0; i < eo.NumField(); i++ {
+		name := eo.Field(i).Name
+		if exempt[name] {
+			continue
+		}
+		if _, ok := wire.FieldByName(name); !ok {
+			t.Errorf("engine.Options.%s is not carried by wireOptions", name)
+		}
+	}
+	if _, ok := reflect.TypeOf(prepareRequest{}).FieldByName("ChargePreprocess"); !ok {
+		t.Error("prepareRequest does not carry ChargePreprocess")
 	}
 }

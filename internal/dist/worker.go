@@ -126,9 +126,7 @@ func (w *Worker) handleBinary(rw http.ResponseWriter, r *http.Request, fn func(b
 		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.mu.Lock()
-	out, err := fn(body)
-	w.mu.Unlock()
+	out, err := w.call(fn, body)
 	if err != nil {
 		status := http.StatusInternalServerError
 		var we *wireError
@@ -140,6 +138,24 @@ func (w *Worker) handleBinary(rw http.ResponseWriter, r *http.Request, fn func(b
 	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	rw.Write(out)
+}
+
+// call runs fn under the worker mutex. A handler panic must not wedge the
+// worker: the mutex is released on the way out, the session is dropped
+// (without recycling the engine's scratch arena, whose state the panic may
+// have left half-written) so the coordinator's rejoin path re-prepares, and
+// the request answers 500.
+func (w *Worker) call(fn func(body []byte) ([]byte, error), body []byte) (out []byte, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	defer func() {
+		if p := recover(); p != nil {
+			w.in = nil
+			w.reset()
+			out, err = nil, fmt.Errorf("dist: worker handler panicked: %v", p)
+		}
+	}()
+	return fn(body)
 }
 
 // asWireError is errors.As without the reflection-heavy generality: fn

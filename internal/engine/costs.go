@@ -1,64 +1,59 @@
 package engine
 
-// Costs holds the instruction-cost constants charged by the op-stream
-// builders, i.e. the compute side of the timing model (the memory side is
-// fully simulated). These are the calibration surface of the reproduction:
-// they rescale compute relative to memory, which the paper reports as
-// secondary (51-84% of Hygra's time is memory stalls, Figure 5).
-type Costs struct {
-	// Apply is charged per bipartite-edge update on the core (the HF/VF
+// Instruction-cost constants charged by the op-stream builders, i.e. the
+// compute side of the timing model (the memory side is fully simulated).
+// These are the calibration surface of the reproduction: they rescale
+// compute relative to memory, which the paper reports as secondary (51-84%
+// of Hygra's time is memory stalls, Figure 5).
+const (
+	// costApply is charged per bipartite-edge update on the core (the HF/VF
 	// body: a divide, multiply-add and compare on an OOO core).
-	Apply uint16
-	// Element is charged per scheduled element (loop control, offset
+	costApply uint16 = 4
+	// costElement is charged per scheduled element (loop control, offset
 	// arithmetic).
-	Element uint16
-	// Scan is charged per frontier-bitmap word examined.
-	Scan uint16
-	// SWSelect is charged per chain-node selection by the *software* GLA
-	// generator (stack bookkeeping, bounds checks, branch mispredicts —
+	costElement uint16 = 2
+	// costScan is charged per frontier-bitmap word examined.
+	costScan uint16 = 1
+	// costSWSelect is charged per chain-node selection by the *software*
+	// GLA generator (stack bookkeeping, bounds checks, branch mispredicts —
 	// the overhead the paper's Figure 3 attributes the GLA slowdown to).
-	SWSelect uint16
-	// SWInspect is charged per OAG neighbor inspected by the software
+	costSWSelect uint16 = 64
+	// costSWInspect is charged per OAG neighbor inspected by the software
 	// generator.
-	SWInspect uint16
-	// SWLoad is charged per bipartite edge by the software GLA's Load
+	costSWInspect uint16 = 20
+	// costSWLoad is charged per bipartite edge by the software GLA's Load
 	// phase (tuple packaging that the CP hardware does for free).
-	SWLoad uint16
-	// HWStage is the per-stage occupancy of the hardware pipelines (HCG
+	costSWLoad uint16 = 6
+	// costHWStage is the per-stage occupancy of the hardware pipelines (HCG
 	// and CP process one entry per cycle per stage, §V-B).
-	HWStage uint16
-}
+	costHWStage uint16 = 1
+)
 
-// DefaultCosts returns the calibrated defaults.
-func DefaultCosts() Costs {
-	return Costs{
-		Apply:     4,
-		Element:   2,
-		Scan:      1,
-		SWSelect:  64,
-		SWInspect: 20,
-		SWLoad:    6,
-		HWStage:   1,
-	}
-}
+// prefetchDistance bounds how far the HygraPF prefetcher runs ahead of the
+// core (its run-ahead FIFO capacity, Figure 23).
+const prefetchDistance = 64
 
-// PrepCostModel converts preprocessing work to cycles (Figure 21/22).
-type PrepCostModel struct {
-	// CSRCyclesPerBE is charged per bipartite edge for building the
+// Preprocessing cost model (Figures 21, 22 and 24). CSR construction needs
+// scatter/sort work per bipartite edge; the OAG counting pass is a tight
+// two-hop scan whose per-touch cost is far lower. The ratio is calibrated so
+// the modelled OAG overhead lands in the paper's Figure 21(a) envelope
+// (+13.6%..+46.1%).
+const (
+	// csrCyclesPerBE is charged per bipartite edge for building the
 	// bipartite CSR (both Hygra and ChGraph pay this).
-	CSRCyclesPerBE float64
-	// OAGCyclesPerOp is charged per OAG construction work unit
+	csrCyclesPerBE = 60
+	// oagCyclesPerOp is charged per OAG construction work unit
 	// (pair-counting touch or sort comparison; ChGraph only).
-	OAGCyclesPerOp float64
-	// ParallelCores divides preprocessing time (it parallelizes).
-	ParallelCores int
-}
+	oagCyclesPerOp = 0.4
+	// prepCores divides preprocessing time (it parallelizes).
+	prepCores = 16
+)
 
-// DefaultPrepCost returns the calibrated preprocessing model.
-func DefaultPrepCost() PrepCostModel {
-	// CSR construction needs scatter/sort work per bipartite edge; the
-	// OAG counting pass is a tight two-hop scan whose per-touch cost is
-	// far lower. The ratio is calibrated so the modelled OAG overhead
-	// lands in the paper's Figure 21(a) envelope (+13.6%..+46.1%).
-	return PrepCostModel{CSRCyclesPerBE: 60, OAGCyclesPerOp: 0.4, ParallelCores: 16}
+// PrepCycles is the preprocessing cost model: the modelled time to build a
+// bipartite CSR of bipartiteEdges edges plus oagOps OAG construction work
+// units. Hygra pays the CSR term alone (oagOps 0); chain-driven engines add
+// their OAG build; the Figure 21 and 24 overheads are the OAG term alone
+// (bipartiteEdges 0).
+func PrepCycles(bipartiteEdges, oagOps uint64) uint64 {
+	return uint64(csrCyclesPerBE*float64(bipartiteEdges)/prepCores + oagCyclesPerOp*float64(oagOps)/prepCores)
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"chgraph/internal/algorithms"
+	"chgraph/internal/bitset"
 	"chgraph/internal/hypergraph"
+	"chgraph/internal/sim/system"
 )
 
 // Degenerate inputs must not crash or deadlock any engine.
@@ -74,20 +76,57 @@ func TestExtremeChainParameters(t *testing.T) {
 	}
 }
 
-// Tiny FIFO capacities must throttle but never deadlock or corrupt.
+// Tiny FIFO capacities must throttle but never deadlock or corrupt. The
+// capacities are model constants, so the test drives BFS through the
+// Instance API and shrinks every compiled phase's chain and bipartite-edge
+// FIFOs to one entry before the phase replays.
 func TestTinyFIFOs(t *testing.T) {
 	g := smallHG(17)
-	prep := Prepare(g, 4, 1)
-	want := algorithms.OracleBFS(g, 0)
-	res, err := Run(g, algorithms.NewBFS(0), Options{
-		Kind: ChGraph, Sys: testSys(), Prep: prep, WMin: 1,
-		ChainFIFO: 1, EdgeFIFO: 1,
-	})
+	in, err := NewInstance(g, Options{Kind: ChGraph, Sys: testSys(), Prep: Prepare(g, 4, 1), WMin: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	alg := algorithms.NewBFS(0)
+	s := algorithms.NewState(g)
+	frontierV := bitset.New(g.NumVertices())
+	alg.Init(s, frontierV)
+	shrunk := 0
+	replay := func(st *Step, fn edgeFunc, next bitset.Bitmap) {
+		drainStep(st, s, fn, next)
+		for _, c := range st.cc {
+			for _, a := range c.agents {
+				for _, f := range []*system.FIFO{a.In, a.Out} {
+					if f != nil && f.Cap != 1 {
+						f.Cap = 1
+						shrunk++
+					}
+				}
+			}
+		}
+		st.Commit()
+	}
+	for frontierV.Count() > 0 {
+		alg.BeforeHyperedgePhase(s)
+		frontierE := bitset.New(g.NumHyperedges())
+		replay(in.BeginHyperedgeComputation(frontierV, frontierE), alg.HF, frontierE)
+		alg.BeforeVertexPhase(s)
+		nextV := bitset.New(g.NumVertices())
+		replay(in.BeginVertexComputation(frontierE, nextV), alg.VF, nextV)
+		s.Iter++
+		in.AdvanceIteration()
+		done := alg.AfterVertexPhase(s, nextV)
+		frontierV = nextV
+		if done {
+			break
+		}
+	}
+	in.Finish()
+	if shrunk == 0 {
+		t.Fatal("no FIFO was shrunk")
+	}
+	want := algorithms.OracleBFS(g, 0)
 	for v := range want {
-		if res.State.VertexVal[v] != want[v] {
+		if s.VertexVal[v] != want[v] {
 			t.Fatal("tiny FIFOs corrupted the result")
 		}
 	}

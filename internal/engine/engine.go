@@ -32,7 +32,6 @@ import (
 
 	"chgraph/internal/algorithms"
 	"chgraph/internal/bitset"
-	chg "chgraph/internal/chgraph"
 	"chgraph/internal/core"
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/oag"
@@ -180,7 +179,10 @@ func (p *Prep) OAGStorageBytes() uint64 {
 // OAGBuildOps returns the total OAG construction work units.
 func (p *Prep) OAGBuildOps() uint64 { return p.VOAG.BuildOps() + p.HOAG.BuildOps() }
 
-// Options configures a run.
+// Options configures a run. The engine's model constants — the instruction
+// costs, the ChGraph FIFO capacities (internal/chgraph), the HygraPF
+// prefetch distance and the preprocessing cost model (costs.go) — are not
+// options: the paper fixes them.
 type Options struct {
 	Kind Kind
 	// Sys is the simulated system; defaults to system.ScaledConfig().
@@ -190,20 +192,11 @@ type Options struct {
 	// WMin is the OAG threshold used if Prep must be built (default
 	// oag.DefaultWMin).
 	WMin uint32
-	// Costs are the compute-cost constants (default DefaultCosts).
-	Costs Costs
 	// Prep supplies prebuilt chunks/OAGs; nil builds them on demand.
 	Prep *Prep
-	// ChainFIFO and EdgeFIFO are the ChGraph buffer capacities (32 each
-	// per §VI-E).
-	ChainFIFO, EdgeFIFO int
-	// PrefetchDistance bounds how far the HygraPF prefetcher runs ahead.
-	PrefetchDistance int
 	// ChargePreprocess adds the modelled preprocessing time (CSR build,
 	// plus OAG build for chain engines) to the cycle count (Figure 22).
 	ChargePreprocess bool
-	// PrepCost is the preprocessing cost model (default DefaultPrepCost).
-	PrepCost PrepCostModel
 	// Workers bounds host-side parallelism for phase compilation and for
 	// on-demand Prep construction. The simulated results are identical for
 	// every value: parallel work is restricted to independent per-chunk
@@ -217,7 +210,11 @@ type Options struct {
 	Observer obs.Observer
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults returns o with every unset field resolved to its default —
+// exactly the options an Instance created from o runs under. Callers that
+// build artifacts for later reuse (internal/shard, internal/serve) resolve
+// through this so their cache keys match what the engine will execute.
+func (o Options) WithDefaults() Options {
 	if o.Sys.Cores == 0 {
 		o.Sys = system.ScaledConfig()
 	}
@@ -227,32 +224,11 @@ func (o Options) withDefaults() Options {
 	if o.WMin == 0 {
 		o.WMin = oag.DefaultWMin
 	}
-	if o.Costs == (Costs{}) {
-		o.Costs = DefaultCosts()
-	}
-	if o.ChainFIFO == 0 {
-		o.ChainFIFO = chg.ChainFIFOEntries
-	}
-	if o.EdgeFIFO == 0 {
-		o.EdgeFIFO = chg.EdgeFIFOEntries
-	}
-	if o.PrefetchDistance == 0 {
-		o.PrefetchDistance = 64
-	}
-	if o.PrepCost == (PrepCostModel{}) {
-		o.PrepCost = DefaultPrepCost()
-	}
 	if o.Workers == 0 {
 		o.Workers = par.DefaultWorkers()
 	}
 	return o
 }
-
-// WithDefaults returns o with every unset field resolved to its default —
-// exactly the options an Instance created from o runs under. Callers that
-// build artifacts for later reuse (internal/shard, internal/serve) resolve
-// through this so their cache keys match what the engine will execute.
-func (o Options) WithDefaults() Options { return o.withDefaults() }
 
 // Result reports a run's outputs and measurements.
 type Result struct {
@@ -442,32 +418,6 @@ func runSnapshot(res *Result, algName string, phases int, hostWall time.Duration
 		ChainGenNodes:    res.ChainGenNodes,
 		HostWall:         hostWall,
 	}
-}
-
-// prepCycles models preprocessing time (Figure 21(a)/22): CSR construction
-// for every engine, plus OAG construction for chain-driven engines.
-func prepCycles(g *hypergraph.Bipartite, prep *Prep, opt Options) uint64 {
-	pc := opt.PrepCost
-	cores := pc.ParallelCores
-	if cores <= 0 {
-		cores = 1
-	}
-	cyc := pc.CSRCyclesPerBE * float64(g.NumBipartiteEdges()) / float64(cores)
-	switch opt.Kind {
-	case GLA, ChGraph, ChGraphHCG:
-		cyc += pc.OAGCyclesPerOp * float64(prep.OAGBuildOps()) / float64(cores)
-	}
-	return uint64(cyc)
-}
-
-// HygraPrepCycles returns the baseline preprocessing time alone (the Figure
-// 21(a) denominator).
-func HygraPrepCycles(g *hypergraph.Bipartite, pc PrepCostModel) uint64 {
-	cores := pc.ParallelCores
-	if cores <= 0 {
-		cores = 1
-	}
-	return uint64(pc.CSRCyclesPerBE * float64(g.NumBipartiteEdges()) / float64(cores))
 }
 
 // phaseSpec describes one computation phase generically: "src" elements in

@@ -219,7 +219,7 @@ func TestPreprocessCharging(t *testing.T) {
 		t.Fatalf("cycles %d != %d + %d", with.Cycles, without.Cycles, with.PreprocessCycles)
 	}
 	// ChGraph preprocessing must exceed Hygra's (OAG construction).
-	hygra := HygraPrepCycles(g, DefaultPrepCost())
+	hygra := PrepCycles(g.NumBipartiteEdges(), 0)
 	if with.PreprocessCycles <= hygra {
 		t.Fatal("ChGraph preprocessing should exceed Hygra's")
 	}

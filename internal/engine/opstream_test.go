@@ -32,7 +32,7 @@ func buildPhase(t *testing.T, kind Kind, seed int64) []*system.Agent {
 	next := bitset.New(g.NumVertices())
 	ph := hyperedgePhase(g, prep, frontierE, next)
 
-	r := &runner{g: g, opt: Options{Kind: kind, Sys: sys, DMax: 16, WMin: 1, ChainFIFO: 32, EdgeFIFO: 32, PrefetchDistance: 64, Costs: DefaultCosts()}, prep: prep, sys: system.New(sys), res: &Result{}}
+	r := &runner{g: g, opt: Options{Kind: kind, Sys: sys, DMax: 16, WMin: 1}, prep: prep, sys: system.New(sys), res: &Result{}}
 	apply := func(st *algorithms.State, src, dst uint32) algorithms.EdgeResult { return alg.VF(st, src, dst) }
 	return r.compilePhase(ph, s, apply)
 }
@@ -193,7 +193,7 @@ func TestNextFrontierBitmapMaintenance(t *testing.T) {
 	countBitmapWrites := func(apply edgeFunc) int {
 		next := bitset.New(g.NumVertices())
 		ph := hyperedgePhase(g, prep, frontierE, next)
-		r := &runner{g: g, opt: Options{Kind: Hygra, Sys: sys, DMax: 16, WMin: 1, Costs: DefaultCosts()}, prep: prep, sys: system.New(sys), res: &Result{}}
+		r := &runner{g: g, opt: Options{Kind: Hygra, Sys: sys, DMax: 16, WMin: 1}, prep: prep, sys: system.New(sys), res: &Result{}}
 		var n int
 		for _, a := range r.compilePhase(ph, s, apply) {
 			for _, op := range a.Ops {

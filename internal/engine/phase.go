@@ -7,6 +7,7 @@ import (
 
 	"chgraph/internal/algorithms"
 	"chgraph/internal/bitset"
+	chg "chgraph/internal/chgraph"
 	"chgraph/internal/core"
 	"chgraph/internal/hats"
 	"chgraph/internal/hypergraph"
@@ -327,11 +328,11 @@ func (r *runner) initBodies() {
 		switch r.opt.Kind {
 		case GLA:
 			v := &sc.sw
-			v.ops, v.side, v.bm, v.c = v.ops[:0], ph.srcBm, ph.srcBm, r.opt.Costs
+			v.ops, v.side, v.bm = v.ops[:0], ph.srcBm, ph.srcBm
 			vis = v
 		case ChGraph, ChGraphHCG:
 			v := &sc.hw
-			v.ops, v.side, v.bm, v.c = v.ops[:0], ph.srcBm, ph.srcBm, r.opt.Costs
+			v.ops, v.side, v.bm = v.ops[:0], ph.srcBm, ph.srcBm
 			vis = v
 		}
 		sc.frontier.CopyFrom(ph.frontier)
@@ -400,12 +401,12 @@ func stitchInto(out []trace.Op, ph *phaseSpec, ops []trace.Op, marks []edgeMark,
 }
 
 // emitScan appends dense frontier-bitmap scan ops for chunk [lo, hi).
-func emitScan(ops []trace.Op, side int, lo, hi uint32, cost uint16) []trace.Op {
+func emitScan(ops []trace.Op, side int, lo, hi uint32) []trace.Op {
 	if hi <= lo {
 		return ops
 	}
 	for w := lo / 64; w <= (hi-1)/64; w++ {
-		ops = append(ops, trace.Op{Addr: lay.BitmapAddr(side, uint64(w)*64), Arr: trace.Bitmap, Compute: cost})
+		ops = append(ops, trace.Op{Addr: lay.BitmapAddr(side, uint64(w)*64), Arr: trace.Bitmap, Compute: costScan})
 	}
 	return ops
 }
@@ -415,7 +416,6 @@ func emitScan(ops []trace.Op, side int, lo, hi uint32, cost uint16) []trace.Op {
 // prefetcher agent (Figure 23) that runs ahead at the L2 and gates the
 // core's value loads through a run-ahead FIFO.
 func (r *runner) compileHygra(ph *phaseSpec, coreID int, prefetch bool) *compiledCore {
-	c := r.opt.Costs
 	ch := ph.chunks[coreID]
 	sc := &r.scratch.cores[coreID]
 	sc.bindCursors(ph)
@@ -424,7 +424,7 @@ func (r *runner) compileHygra(ph *phaseSpec, coreID int, prefetch bool) *compile
 	out.marks = out.marks[:0]
 	ops := sc.coreBuf[:0]
 	if !ph.dense {
-		ops = emitScan(ops, ph.srcBm, ch.Lo, ch.Hi, c.Scan)
+		ops = emitScan(ops, ph.srcBm, ch.Lo, ch.Hi)
 	}
 	pfOps := sc.engA[:0]
 	var popFlag trace.OpFlags
@@ -433,7 +433,7 @@ func (r *runner) compileHygra(ph *phaseSpec, coreID int, prefetch bool) *compile
 	}
 	ph.frontier.ForEachSet(ch.Lo, ch.Hi, func(e uint32) {
 		ops = append(ops,
-			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Compute: c.Element},
+			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Compute: costElement},
 			trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr})
 		if prefetch {
 			pfOps = append(pfOps, trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Flags: trace.FlagPrefetch | trace.FlagL2})
@@ -447,7 +447,7 @@ func (r *runner) compileHygra(ph *phaseSpec, coreID int, prefetch bool) *compile
 			}
 			ops = append(ops,
 				trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr},
-				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: c.Apply, Flags: popFlag})
+				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: costApply, Flags: popFlag})
 			out.marks = append(out.marks, edgeMark{pos: len(ops), src: e, dst: d})
 		}
 	})
@@ -458,7 +458,7 @@ func (r *runner) compileHygra(ph *phaseSpec, coreID int, prefetch bool) *compile
 	}
 	if prefetch {
 		fifo, _ := sc.fifos()
-		fifo.Reset(sc.names.pf, r.opt.PrefetchDistance)
+		fifo.Reset(sc.names.pf, prefetchDistance)
 		pf := &sc.agentBuf[1]
 		*pf = system.Agent{
 			Name: sc.names.pf, Core: coreID, Ops: pfOps,
@@ -479,21 +479,20 @@ type swVisitor struct {
 	ops  []trace.Op
 	side int // OAG side index for address disambiguation
 	bm   int
-	c    Costs
 }
 
 func (v *swVisitor) RootScan(word uint32) {
-	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(word)*64), Arr: trace.Bitmap, Compute: v.c.Scan})
+	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(word)*64), Arr: trace.Bitmap, Compute: costScan})
 }
 func (v *swVisitor) Select(node uint32) {
-	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(node)), Arr: trace.Bitmap, Flags: trace.FlagWrite, Compute: v.c.SWSelect})
+	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(node)), Arr: trace.Bitmap, Flags: trace.FlagWrite, Compute: costSWSelect})
 }
 func (v *swVisitor) Offsets(node uint32) {
 	v.ops = append(v.ops, trace.Op{Addr: oagAddr(trace.OAGOffset, v.side, node), Arr: trace.OAGOffset, Compute: 1})
 }
 func (v *swVisitor) Inspect(csr, nb uint32) {
 	v.ops = append(v.ops,
-		trace.Op{Addr: oagAddr(trace.OAGEdge, v.side, csr), Arr: trace.OAGEdge, Compute: v.c.SWInspect},
+		trace.Op{Addr: oagAddr(trace.OAGEdge, v.side, csr), Arr: trace.OAGEdge, Compute: costSWInspect},
 		trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(nb)), Arr: trace.Bitmap})
 }
 func (v *swVisitor) ChainEnd() {}
@@ -501,7 +500,6 @@ func (v *swVisitor) ChainEnd() {}
 // compileGLA compiles one core of the software chain-driven model: chain
 // generation and the chain-ordered load/apply run serially on the core.
 func (r *runner) compileGLA(ph *phaseSpec, coreID int, cs core.ChainSet, replayed bool) *compiledCore {
-	c := r.opt.Costs
 	ch := ph.chunks[coreID]
 	sc := &r.scratch.cores[coreID]
 	sc.bindCursors(ph)
@@ -522,13 +520,13 @@ func (r *runner) compileGLA(ph *phaseSpec, coreID int, cs core.ChainSet, replaye
 	}
 	for _, e := range cs.Queue {
 		ops = append(ops,
-			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Compute: c.Element},
+			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Compute: costElement},
 			trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr})
 		base := ph.offset(e)
 		for i, d := range sc.adjCur.List(e) {
 			ops = append(ops,
-				trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr, Compute: c.SWLoad},
-				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: c.Apply})
+				trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr, Compute: costSWLoad},
+				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: costApply})
 			out.marks = append(out.marks, edgeMark{pos: len(ops), src: e, dst: d})
 		}
 	}
@@ -554,23 +552,22 @@ type hwVisitor struct {
 	ops  []trace.Op
 	side int
 	bm   int
-	c    Costs
 }
 
 func (v *hwVisitor) RootScan(word uint32) {
-	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(word)*64), Arr: trace.Bitmap, Flags: trace.FlagL2, Compute: v.c.HWStage})
+	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(word)*64), Arr: trace.Bitmap, Flags: trace.FlagL2, Compute: costHWStage})
 }
 func (v *hwVisitor) Select(node uint32) {
 	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(node)), Arr: trace.Bitmap,
-		Flags: trace.FlagL2 | trace.FlagWrite | trace.FlagPushChain, Compute: v.c.HWStage})
+		Flags: trace.FlagL2 | trace.FlagWrite | trace.FlagPushChain, Compute: costHWStage})
 }
 func (v *hwVisitor) Offsets(node uint32) {
-	v.ops = append(v.ops, trace.Op{Addr: oagAddr(trace.OAGOffset, v.side, node), Arr: trace.OAGOffset, Flags: trace.FlagL2, Compute: v.c.HWStage})
+	v.ops = append(v.ops, trace.Op{Addr: oagAddr(trace.OAGOffset, v.side, node), Arr: trace.OAGOffset, Flags: trace.FlagL2, Compute: costHWStage})
 }
 func (v *hwVisitor) Inspect(csr, nb uint32) {
 	v.ops = append(v.ops,
-		trace.Op{Addr: oagAddr(trace.OAGEdge, v.side, csr), Arr: trace.OAGEdge, Flags: trace.FlagL2, Compute: v.c.HWStage},
-		trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(nb)), Arr: trace.Bitmap, Flags: trace.FlagL2, Compute: v.c.HWStage})
+		trace.Op{Addr: oagAddr(trace.OAGEdge, v.side, csr), Arr: trace.OAGEdge, Flags: trace.FlagL2, Compute: costHWStage},
+		trace.Op{Addr: lay.BitmapAddr(v.bm, uint64(nb)), Arr: trace.Bitmap, Flags: trace.FlagL2, Compute: costHWStage})
 }
 func (v *hwVisitor) ChainEnd() {}
 
@@ -581,7 +578,6 @@ func (v *hwVisitor) ChainEnd() {}
 // (Figure 16 HCG-only ablation) the core pops chain entries and performs
 // its own loads.
 func (r *runner) compileChGraph(ph *phaseSpec, coreID int, cs core.ChainSet, replayed, withCP bool) *compiledCore {
-	c := r.opt.Costs
 	ch := ph.chunks[coreID]
 	sc := &r.scratch.cores[coreID]
 	sc.bindCursors(ph)
@@ -595,7 +591,7 @@ func (r *runner) compileChGraph(ph *phaseSpec, coreID int, cs core.ChainSet, rep
 		hcgOps = sc.engA[:0]
 		for i := range cs.Queue {
 			hcgOps = append(hcgOps, trace.Op{Addr: chainQueueAddr(ph.srcBm, uint64(ch.Lo)+uint64(i)), Arr: trace.Other,
-				Flags: trace.FlagL2 | trace.FlagPushChain, Compute: c.HWStage})
+				Flags: trace.FlagL2 | trace.FlagPushChain, Compute: costHWStage})
 		}
 	} else {
 		hcgOps = sc.hw.ops
@@ -607,7 +603,7 @@ func (r *runner) compileChGraph(ph *phaseSpec, coreID int, cs core.ChainSet, rep
 		sc.hw.ops = hcgOps
 	}
 	chainFIFO, edgeFIFO := sc.fifos()
-	chainFIFO.Reset(sc.names.chain, r.opt.ChainFIFO)
+	chainFIFO.Reset(sc.names.chain, chg.ChainFIFOEntries)
 
 	hcg := &sc.agentBuf[1]
 	*hcg = system.Agent{
@@ -618,26 +614,26 @@ func (r *runner) compileChGraph(ph *phaseSpec, coreID int, cs core.ChainSet, rep
 	coreOps := sc.coreBuf[:0]
 	if withCP {
 		cpOps := sc.engB[:0]
-		edgeFIFO.Reset(sc.names.bedge, r.opt.EdgeFIFO)
+		edgeFIFO.Reset(sc.names.bedge, chg.EdgeFIFOEntries)
 		for _, e := range cs.Queue {
 			cpOps = append(cpOps,
-				trace.Op{Flags: trace.FlagNoMem | trace.FlagPopChain, Compute: c.HWStage},
-				trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Flags: trace.FlagL2, Compute: c.HWStage},
-				trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr, Flags: trace.FlagL2, Compute: c.HWStage})
+				trace.Op{Flags: trace.FlagNoMem | trace.FlagPopChain, Compute: costHWStage},
+				trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr, Flags: trace.FlagL2, Compute: costHWStage},
+				trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr, Flags: trace.FlagL2, Compute: costHWStage})
 			base := ph.offset(e)
 			for i, d := range sc.adjCur.List(e) {
 				cpOps = append(cpOps,
-					trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr, Flags: trace.FlagL2, Compute: c.HWStage},
-					trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Flags: trace.FlagL2 | trace.FlagPushTuple, Compute: c.HWStage})
-				coreOps = append(coreOps, trace.Op{Flags: trace.FlagNoMem | trace.FlagPopTuple, Compute: c.Apply})
+					trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr, Flags: trace.FlagL2, Compute: costHWStage},
+					trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Flags: trace.FlagL2 | trace.FlagPushTuple, Compute: costHWStage})
+				coreOps = append(coreOps, trace.Op{Flags: trace.FlagNoMem | trace.FlagPopTuple, Compute: costApply})
 				out.marks = append(out.marks, edgeMark{pos: len(coreOps), src: e, dst: d})
 			}
 		}
 		// CP pops the HCG sentinel, then emits the fake tuple that
 		// suspends the core (§V-B).
 		cpOps = append(cpOps,
-			trace.Op{Flags: trace.FlagNoMem | trace.FlagPopChain, Compute: c.HWStage},
-			trace.Op{Flags: trace.FlagNoMem | trace.FlagPushTuple, Compute: c.HWStage})
+			trace.Op{Flags: trace.FlagNoMem | trace.FlagPopChain, Compute: costHWStage},
+			trace.Op{Flags: trace.FlagNoMem | trace.FlagPushTuple, Compute: costHWStage})
 		coreOps = append(coreOps, trace.Op{Flags: trace.FlagNoMem | trace.FlagPopTuple})
 		cp := &sc.agentBuf[2]
 		*cp = system.Agent{
@@ -658,14 +654,14 @@ func (r *runner) compileChGraph(ph *phaseSpec, coreID int, cs core.ChainSet, rep
 	// HCG-only: the core consumes chain entries and loads data itself.
 	for _, e := range cs.Queue {
 		coreOps = append(coreOps,
-			trace.Op{Flags: trace.FlagNoMem | trace.FlagPopChain, Compute: c.Element},
+			trace.Op{Flags: trace.FlagNoMem | trace.FlagPopChain, Compute: costElement},
 			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr},
 			trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr})
 		base := ph.offset(e)
 		for i, d := range sc.adjCur.List(e) {
 			coreOps = append(coreOps,
 				trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr},
-				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: c.Apply})
+				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: costApply})
 			out.marks = append(out.marks, edgeMark{pos: len(coreOps), src: e, dst: d})
 		}
 	}
@@ -686,7 +682,6 @@ func (r *runner) compileChGraph(ph *phaseSpec, coreID int, cs core.ChainSet, rep
 // itself (two bipartite hops per neighbor probe, no overlap weights) and
 // feeds the schedule to the core, which performs its own loads.
 func (r *runner) compileHATSV(ph *phaseSpec, coreID int) *compiledCore {
-	c := r.opt.Costs
 	ch := ph.chunks[coreID]
 	sc := &r.scratch.cores[coreID]
 	sc.bindCursors(ph)
@@ -694,7 +689,7 @@ func (r *runner) compileHATSV(ph *phaseSpec, coreID int) *compiledCore {
 	out.agents = out.agents[:0]
 	out.marks = out.marks[:0]
 	vis := &sc.hv
-	vis.ops, vis.ph, vis.c = vis.ops[:0], ph, c
+	vis.ops, vis.ph = vis.ops[:0], ph
 	sc.frontier.CopyFrom(ph.frontier)
 	sched := hats.GenerateInto(sc.sched, hats.Input{
 		Offset: ph.offset, Neighbors: sc.hatsNbrs,
@@ -705,7 +700,7 @@ func (r *runner) compileHATSV(ph *phaseSpec, coreID int) *compiledCore {
 	hatsOps := append(vis.ops, trace.Op{Flags: trace.FlagNoMem | trace.FlagPushChain})
 	vis.ops = hatsOps
 	fifo, _ := sc.fifos()
-	fifo.Reset(sc.names.hats, r.opt.ChainFIFO)
+	fifo.Reset(sc.names.hats, chg.ChainFIFOEntries)
 	eng := &sc.agentBuf[1]
 	*eng = system.Agent{
 		Name: sc.names.hats, Core: coreID, Ops: hatsOps,
@@ -716,14 +711,14 @@ func (r *runner) compileHATSV(ph *phaseSpec, coreID int) *compiledCore {
 	coreOps := sc.coreBuf[:0]
 	for _, e := range sched {
 		coreOps = append(coreOps,
-			trace.Op{Flags: trace.FlagNoMem | trace.FlagPopChain, Compute: c.Element},
+			trace.Op{Flags: trace.FlagNoMem | trace.FlagPopChain, Compute: costElement},
 			trace.Op{Addr: lay.Addr(ph.offArr, uint64(e)), Arr: ph.offArr},
 			trace.Op{Addr: lay.Addr(ph.srcValArr, uint64(e)), Arr: ph.srcValArr})
 		base := ph.offset(e)
 		for i, d := range sc.adjCur.List(e) {
 			coreOps = append(coreOps,
 				trace.Op{Addr: lay.Addr(ph.incArr, uint64(base)+uint64(i)), Arr: ph.incArr},
-				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: c.Apply})
+				trace.Op{Addr: lay.Addr(ph.dstValArr, uint64(d)), Arr: ph.dstValArr, Compute: costApply})
 			out.marks = append(out.marks, edgeMark{pos: len(coreOps), src: e, dst: d})
 		}
 	}
@@ -744,27 +739,26 @@ func (r *runner) compileHATSV(ph *phaseSpec, coreID int) *compiledCore {
 type hatsVisitor struct {
 	ops []trace.Op
 	ph  *phaseSpec
-	c   Costs
 }
 
 func (v *hatsVisitor) RootScan(word uint32) {
-	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.ph.srcBm, uint64(word)*64), Arr: trace.Bitmap, Flags: trace.FlagL2, Compute: v.c.HWStage})
+	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.ph.srcBm, uint64(word)*64), Arr: trace.Bitmap, Flags: trace.FlagL2, Compute: costHWStage})
 }
 func (v *hatsVisitor) Select(node uint32) {
 	v.ops = append(v.ops, trace.Op{Addr: lay.BitmapAddr(v.ph.srcBm, uint64(node)), Arr: trace.Bitmap,
-		Flags: trace.FlagL2 | trace.FlagWrite | trace.FlagPushChain, Compute: v.c.HWStage})
+		Flags: trace.FlagL2 | trace.FlagWrite | trace.FlagPushChain, Compute: costHWStage})
 }
 func (v *hatsVisitor) SrcOffsets(node uint32) {
-	v.ops = append(v.ops, trace.Op{Addr: lay.Addr(v.ph.offArr, uint64(node)), Arr: v.ph.offArr, Flags: trace.FlagL2, Compute: v.c.HWStage})
+	v.ops = append(v.ops, trace.Op{Addr: lay.Addr(v.ph.offArr, uint64(node)), Arr: v.ph.offArr, Flags: trace.FlagL2, Compute: costHWStage})
 }
 func (v *hatsVisitor) SrcEdge(csr uint32) {
-	v.ops = append(v.ops, trace.Op{Addr: lay.Addr(v.ph.incArr, uint64(csr)), Arr: v.ph.incArr, Flags: trace.FlagL2, Compute: v.c.HWStage})
+	v.ops = append(v.ops, trace.Op{Addr: lay.Addr(v.ph.incArr, uint64(csr)), Arr: v.ph.incArr, Flags: trace.FlagL2, Compute: costHWStage})
 }
 func (v *hatsVisitor) MidOffsets(mid uint32) {
-	v.ops = append(v.ops, trace.Op{Addr: lay.Addr(v.ph.backOffArr, uint64(mid)), Arr: v.ph.backOffArr, Flags: trace.FlagL2, Compute: v.c.HWStage})
+	v.ops = append(v.ops, trace.Op{Addr: lay.Addr(v.ph.backOffArr, uint64(mid)), Arr: v.ph.backOffArr, Flags: trace.FlagL2, Compute: costHWStage})
 }
 func (v *hatsVisitor) MidEdge(csr uint32, nb uint32) {
 	v.ops = append(v.ops,
-		trace.Op{Addr: lay.Addr(v.ph.backIncArr, uint64(csr)), Arr: v.ph.backIncArr, Flags: trace.FlagL2, Compute: v.c.HWStage},
-		trace.Op{Addr: lay.BitmapAddr(v.ph.srcBm, uint64(nb)), Arr: trace.Bitmap, Flags: trace.FlagL2, Compute: v.c.HWStage})
+		trace.Op{Addr: lay.Addr(v.ph.backIncArr, uint64(csr)), Arr: v.ph.backIncArr, Flags: trace.FlagL2, Compute: costHWStage},
+		trace.Op{Addr: lay.BitmapAddr(v.ph.srcBm, uint64(nb)), Arr: trace.Bitmap, Flags: trace.FlagL2, Compute: costHWStage})
 }

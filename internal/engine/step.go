@@ -51,7 +51,10 @@ func NewInstanceCtx(ctx context.Context, g *hypergraph.Bipartite, opt Options) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
+	if err := opt.Sys.Validate(); err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
 	needChains := opt.Kind == GLA || opt.Kind == ChGraph || opt.Kind == ChGraphHCG
 	prep := opt.Prep
 	if prep == nil {
@@ -113,7 +116,12 @@ func (in *Instance) Options() Options { return in.r.opt }
 // PreprocessCycles returns the modelled preprocessing time for this
 // instance's engine kind (CSR build, plus OAG build for chain engines).
 func (in *Instance) PreprocessCycles() uint64 {
-	return prepCycles(in.g, in.r.prep, in.r.opt)
+	var oagOps uint64
+	switch in.r.opt.Kind {
+	case GLA, ChGraph, ChGraphHCG:
+		oagOps = in.r.prep.OAGBuildOps()
+	}
+	return PrepCycles(in.g.NumBipartiteEdges(), oagOps)
 }
 
 // ChargePreprocess charges the modelled preprocessing time to the simulated

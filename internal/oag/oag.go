@@ -14,8 +14,9 @@
 package oag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"chgraph/internal/hypergraph"
@@ -228,11 +229,11 @@ func putScratch(s *buildScratch) {
 // work units for the build-cost model.
 func sortAndCap(adjTmp [][]wedge, a uint32, maxDeg int) uint64 {
 	es := adjTmp[a]
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].w != es[j].w {
-			return es[i].w > es[j].w
+	slices.SortFunc(es, func(x, y wedge) int {
+		if x.w != y.w {
+			return cmp.Compare(y.w, x.w)
 		}
-		return es[i].b < es[j].b
+		return cmp.Compare(x.b, y.b)
 	})
 	ops := uint64(len(es)) * uint64(log2ceil(len(es)))
 	if maxDeg > 0 && len(es) > maxDeg {

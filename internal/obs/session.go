@@ -8,13 +8,16 @@ import (
 	"time"
 )
 
-// SessionMetrics aggregates the timelines of many runs under string keys —
-// one Timeline per executed run. A bench session attaches one observer per
-// simulated cell; cached cells never re-run, so each key appears exactly
-// once per execution (the singleflight test relies on this).
+// SessionMetrics aggregates many runs: a rollup of every finished run, plus
+// — for runs observed under a key — the run's full Timeline. A bench session
+// attaches one keyed observer per simulated cell; cached cells never re-run,
+// so each key appears exactly once per execution (the singleflight test
+// relies on this). A server, which only reports the rollup, observes runs
+// through ObserveRollup and keeps no per-run state.
 type SessionMetrics struct {
 	mu         sync.Mutex
 	runs       map[string][]*Timeline
+	rollup     SessionSummary // run-derived fields only; see Summary
 	hostAllocs uint64
 	heapInuse  uint64
 	adjBytes   uint64
@@ -26,15 +29,38 @@ func NewSessionMetrics() *SessionMetrics {
 	return &SessionMetrics{runs: map[string][]*Timeline{}}
 }
 
-// Observe registers and returns a fresh Timeline for one run under key.
-// Every call records a new run — callers should invoke it once per actual
-// engine execution, not per cache hit.
+// Observe registers a fresh Timeline for one run under key and returns an
+// observer that records into it and folds the finished run into the
+// rollup. Every call records a new run — callers should invoke it once per
+// actual engine execution, not per cache hit.
 func (m *SessionMetrics) Observe(key string) Observer {
 	t := NewTimeline()
 	m.mu.Lock()
 	m.runs[key] = append(m.runs[key], t)
 	m.mu.Unlock()
-	return t
+	return Multi(t, m.ObserveRollup())
+}
+
+// ObserveRollup returns an observer that folds one run into the rollup
+// when it finishes and keeps nothing else: no key, no Timeline.
+func (m *SessionMetrics) ObserveRollup() Observer { return rollupObserver{m: m} }
+
+// rollupObserver adds each finished run to its session's rollup.
+type rollupObserver struct {
+	Null
+	m *SessionMetrics
+}
+
+func (r rollupObserver) RunDone(s RunSnapshot) {
+	m := r.m
+	m.mu.Lock()
+	m.rollup.Runs++
+	m.rollup.Phases += s.Phases
+	m.rollup.SimulatedCycles += s.Cycles
+	m.rollup.MemAccesses += s.MemTotal()
+	m.rollup.EdgesProcessed += s.EdgesProcessed
+	m.rollup.HostWall += s.HostWall
+	m.mu.Unlock()
 }
 
 // Runs returns the number of recorded runs for key.
@@ -122,31 +148,15 @@ type SessionSummary struct {
 	HeapInuse uint64 `json:"host_heap_inuse_bytes,omitempty"`
 }
 
-// Summary aggregates across every completed run.
+// Summary returns the rollup across every completed run plus the recorded
+// session-level measurements.
 func (m *SessionMetrics) Summary() SessionSummary {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := SessionSummary{
-		HostAllocs:     m.hostAllocs,
-		AdjacencyBytes: m.adjBytes,
-		HeapInuse:      m.heapInuse,
-	}
+	s := m.rollup
+	s.HostAllocs, s.AdjacencyBytes, s.HeapInuse = m.hostAllocs, m.adjBytes, m.heapInuse
 	if m.bipEdges > 0 {
 		s.BytesPerEdge = float64(m.adjBytes) / float64(m.bipEdges)
-	}
-	for _, ts := range m.runs {
-		for _, t := range ts {
-			run, done := t.Run()
-			if !done {
-				continue
-			}
-			s.Runs++
-			s.Phases += run.Phases
-			s.SimulatedCycles += run.Cycles
-			s.MemAccesses += run.MemTotal()
-			s.EdgesProcessed += run.EdgesProcessed
-			s.HostWall += run.HostWall
-		}
 	}
 	return s
 }

@@ -61,9 +61,10 @@ type Options struct {
 	// DrainTimeout bounds Shutdown when its context has no deadline
 	// (default 30s).
 	DrainTimeout time.Duration
-	// Session, if non-nil, aggregates every executed run's telemetry; its
-	// rollup is exported under /metrics. Coalesced and cache-served
-	// requests record nothing — one entry per actual engine execution.
+	// Session, if non-nil, rolls up every executed run's telemetry (no
+	// per-run timeline is kept); the rollup is exported under /metrics.
+	// Coalesced and cache-served requests record nothing — one run per
+	// actual engine execution.
 	Session *obs.SessionMetrics
 	// Limits applies to every tenant (zero value: unlimited, the
 	// single-tenant behaviour); LimitOverrides replaces it for named
@@ -744,7 +745,7 @@ func (s *Server) execute(ctx context.Context, req RunRequest, ref dsRef) (*runOu
 	runCfg := cfg
 	runCfg.Prepared = art.pre
 	if s.opt.Session != nil {
-		runCfg.Observer = obs.TagGeneration(s.opt.Session.Observe(req.runKeyFor(ref.key)), art.gen)
+		runCfg.Observer = obs.TagGeneration(s.opt.Session.ObserveRollup(), art.gen)
 	}
 	res, err := chgraph.RunContext(ctx, art.g, req.Algorithm, runCfg)
 	if err != nil {

@@ -126,6 +126,31 @@ func TestServeCoalescesAndMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestServeSessionKeepsOnlyRollup: every executed run lands in the session
+// rollup /metrics reports, and the session keeps no per-run timeline.
+func TestServeSessionKeepsOnlyRollup(t *testing.T) {
+	session := obs.NewSessionMetrics()
+	ts := httptest.NewServer(NewServer(Options{Workers: 1, Session: session}))
+	defer ts.Close()
+	const runs = 3
+	for i := 1; i <= runs; i++ {
+		req := RunRequest{Dataset: "OK", Scale: 0.02, Algorithm: "PR", Engine: "hygra", Cores: 4, Iterations: i}
+		if code, _ := postRun(t, ts.URL, req); code != http.StatusOK {
+			t.Fatalf("run %d: status %d", i, code)
+		}
+	}
+	var snap Snapshot
+	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", code)
+	}
+	if snap.Session == nil || snap.Session.Runs != runs || snap.Session.Phases == 0 || snap.Session.SimulatedCycles == 0 {
+		t.Fatalf("session rollup %+v, want %d runs", snap.Session, runs)
+	}
+	if keys := session.Keys(); len(keys) != 0 {
+		t.Fatalf("session keeps per-run timelines under %v", keys)
+	}
+}
+
 // TestServeCacheSteadyState: the second request of a spec is served from the
 // artifact LRU; a distinct spec with capacity 1 evicts it.
 func TestServeCacheSteadyState(t *testing.T) {

@@ -223,26 +223,3 @@ func TestShardTapForwardsOnlyPhases(t *testing.T) {
 		t.Fatalf("tap leaked per-shard events: iters=%d runs=%d", rec.iters, rec.runs)
 	}
 }
-
-// TestPreparedCapFactorMismatch: a greedy Prepared carries its cap factor;
-// running with a different (non-default) cap must be rejected, and the
-// default spellings (0, negative) must compare equal.
-func TestPreparedCapFactorMismatch(t *testing.T) {
-	g := smallHG(29)
-	eo := engine.Options{Kind: engine.GLA, Sys: testSys(), WMin: 1}
-	pre, err := Prepare(context.Background(), g, Options{Shards: 2, Policy: PolicyGreedy, Engine: eo})
-	if err != nil {
-		t.Fatalf("Prepare: %v", err)
-	}
-	if _, err := Run(g, algorithms.NewPageRank(2), Options{
-		Shards: 2, Policy: PolicyGreedy, CapFactor: 1.4, Engine: eo, Pre: pre,
-	}); err == nil {
-		t.Fatalf("cap-factor mismatch accepted")
-	}
-	// Negative and zero cap both mean "default" and must match the Prepared.
-	if _, err := Run(g, algorithms.NewPageRank(2), Options{
-		Shards: 2, Policy: PolicyGreedy, CapFactor: -1, Engine: eo, Pre: pre,
-	}); err != nil {
-		t.Fatalf("default-cap run with Prepared: %v", err)
-	}
-}

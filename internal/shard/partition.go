@@ -22,8 +22,9 @@ const (
 	// PolicyGreedy is a single-pass streaming assigner in the spirit of
 	// Taşyaran et al. (arXiv:2103.05394): each hyperedge goes to the shard
 	// where the fewest of its pin vertices are new (minimizing replication),
-	// subject to a per-shard pin-count cap, with ties broken toward the
-	// lighter then lower-indexed shard. One pass, O(V) extra memory.
+	// subject to a per-shard pin-count cap (greedyCapFactor), with ties
+	// broken toward the lighter then lower-indexed shard. One pass, O(V)
+	// extra memory.
 	PolicyGreedy Policy = "greedy"
 )
 
@@ -31,10 +32,10 @@ const (
 // in one 64-bit mask, and the layer targets single-host scale-out.
 const MaxShards = 64
 
-// DefaultCapFactor is the greedy policy's per-shard size headroom: a shard
-// stops accepting hyperedges once its pin count exceeds CapFactor times the
-// ideal even share.
-const DefaultCapFactor = 1.15
+// greedyCapFactor is the greedy policy's per-shard size headroom: a shard
+// stops accepting hyperedges once its pin count exceeds greedyCapFactor
+// times the ideal even share.
+const greedyCapFactor = 1.15
 
 // ParsePolicy maps a CLI spelling to a Policy.
 func ParsePolicy(s string) (Policy, error) {
@@ -83,10 +84,11 @@ func (a *Assignment) ReplicationFactor() float64 {
 }
 
 // Partition assigns every hyperedge of g to one of k shards under the given
-// policy. capFactor tunes the greedy size cap (<=0 uses DefaultCapFactor;
-// range ignores it). The assignment is deterministic: same inputs, same
-// mapping.
-func Partition(g *hypergraph.Bipartite, k int, policy Policy, capFactor float64) (*Assignment, error) {
+// policy. The assignment is deterministic: same inputs, same mapping. The
+// fourth argument is unused — the greedy cap is the constant
+// greedyCapFactor — and stays only for source compatibility with existing
+// callers; pass 0.
+func Partition(g *hypergraph.Bipartite, k int, policy Policy, _ float64) (*Assignment, error) {
 	numH := g.NumHyperedges()
 	if k < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", k)
@@ -119,7 +121,7 @@ func Partition(g *hypergraph.Bipartite, k int, policy Policy, capFactor float64)
 			}
 		}
 	case PolicyGreedy:
-		a.greedy(g, pins, capFactor)
+		a.greedy(g, pins)
 	default:
 		return nil, fmt.Errorf("shard: unknown policy %q", policy)
 	}
@@ -141,15 +143,12 @@ func (a *Assignment) place(pins []uint32, h, s uint32) {
 
 // greedy is the single-pass streaming assigner: one scan over hyperedges in
 // index order, constant state per shard plus one membership mask per vertex.
-func (a *Assignment) greedy(g *hypergraph.Bipartite, cur *hypergraph.AdjCursor, capFactor float64) {
-	if capFactor <= 0 {
-		capFactor = DefaultCapFactor
-	}
+func (a *Assignment) greedy(g *hypergraph.Bipartite, cur *hypergraph.AdjCursor) {
 	k := a.K
 	totalPins := g.NumBipartiteEdges()
 	// Pin-count cap per shard; at least one average hyperedge of headroom
 	// so the cap can never make a placement impossible on an empty shard.
-	pinCap := uint64(capFactor * float64(totalPins) / float64(k))
+	pinCap := uint64(greedyCapFactor * float64(totalPins) / float64(k))
 	if numH := uint64(g.NumHyperedges()); numH > 0 && pinCap < totalPins/numH+1 {
 		pinCap = totalPins/numH + 1
 	}

@@ -22,12 +22,11 @@ type Prepared struct {
 	P *Partitioned
 	// Preps holds each shard's chunking + OAGs, indexed like P.Shards.
 	Preps []*engine.Prep
-	// Cores, WMin and CapFactor echo the configuration the artifacts were
-	// built for; RunCtx rejects a Pre whose configuration disagrees with the
-	// run's options rather than silently executing with mismatched OAGs.
-	Cores     int
-	WMin      uint32
-	CapFactor float64
+	// Cores and WMin echo the configuration the artifacts were built for;
+	// RunCtx rejects a Pre whose configuration disagrees with the run's
+	// options rather than silently executing with mismatched OAGs.
+	Cores int
+	WMin  uint32
 }
 
 // Prepare builds the reusable artifacts for a sharded run under opt:
@@ -51,7 +50,7 @@ func Prepare(ctx context.Context, g *hypergraph.Bipartite, opt Options) (*Prepar
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	a, err := Partition(g, k, pol, opt.CapFactor)
+	a, err := Partition(g, k, pol, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -70,28 +69,16 @@ func Prepare(ctx context.Context, g *hypergraph.Bipartite, opt Options) (*Prepar
 	}
 	return &Prepared{
 		P: p, Preps: preps,
-		Cores: eo.Sys.Cores, WMin: eo.WMin, CapFactor: normCap(opt.CapFactor),
+		Cores: eo.Sys.Cores, WMin: eo.WMin,
 	}, nil
-}
-
-// normCap canonicalizes the greedy cap factor so "default" spellings (zero
-// and negative) compare equal between Prepare and RunCtx.
-func normCap(c float64) float64 {
-	if c <= 0 {
-		return 0
-	}
-	return c
 }
 
 // validatePre checks that pre was built for exactly the partition and engine
 // configuration a run is about to use.
-func validatePre(pre *Prepared, k int, pol Policy, capFactor float64, eo engine.Options) error {
+func validatePre(pre *Prepared, k int, pol Policy, eo engine.Options) error {
 	a := pre.P.Assign
 	if a.K != k || a.Policy != pol {
 		return fmt.Errorf("shard: Pre built for K=%d/%s, run wants K=%d/%s", a.K, a.Policy, k, pol)
-	}
-	if pol == PolicyGreedy && pre.CapFactor != normCap(capFactor) {
-		return fmt.Errorf("shard: Pre built with cap factor %v, run wants %v", pre.CapFactor, normCap(capFactor))
 	}
 	if pre.Cores != eo.Sys.Cores || pre.WMin != eo.WMin {
 		return fmt.Errorf("shard: Pre built for cores=%d/wMin=%d, run wants cores=%d/wMin=%d",

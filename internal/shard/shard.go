@@ -48,9 +48,6 @@ type Options struct {
 	Shards int
 	// Policy selects the partitioner (default PolicyRange).
 	Policy Policy
-	// CapFactor tunes the greedy per-shard size cap (<=0 uses
-	// DefaultCapFactor).
-	CapFactor float64
 	// Engine configures each shard's engine. Prep must be nil (each shard
 	// preps its own sub-hypergraph); Observer receives every shard's
 	// per-phase snapshots tagged with the shard index, plus merged
@@ -59,7 +56,7 @@ type Options struct {
 	// Pre supplies prebuilt partition artifacts (see Prepare): when non-nil
 	// the run skips partitioning, materialization and per-shard OAG
 	// construction, using Pre's shards and preps instead. Pre must have been
-	// built for the same K, policy, cap factor, core count and W_min; a
+	// built for the same K, policy, core count and W_min; a
 	// mismatch is an error, never a silent misconfiguration.
 	Pre *Prepared
 }
@@ -136,13 +133,13 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	var a *Assignment
 	var p *Partitioned
 	if opt.Pre != nil {
-		if err := validatePre(opt.Pre, k, pol, opt.CapFactor, opt.Engine.WithDefaults()); err != nil {
+		if err := validatePre(opt.Pre, k, pol, opt.Engine.WithDefaults()); err != nil {
 			return nil, err
 		}
 		a, p = opt.Pre.P.Assign, opt.Pre.P
 	} else {
 		var err error
-		if a, err = Partition(g, k, pol, opt.CapFactor); err != nil {
+		if a, err = Partition(g, k, pol, 0); err != nil {
 			return nil, err
 		}
 		if p, err = Materialize(g, a, workers); err != nil {

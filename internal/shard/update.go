@@ -35,7 +35,7 @@ func Update(ctx context.Context, pre *Prepared, d *hypergraph.Delta, workers int
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	a, err := Partition(d.New, a0.K, a0.Policy, pre.CapFactor)
+	a, err := Partition(d.New, a0.K, a0.Policy, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +60,7 @@ func Update(ctx context.Context, pre *Prepared, d *hypergraph.Delta, workers int
 	}
 	return &Prepared{
 		P: p, Preps: preps,
-		Cores: pre.Cores, WMin: pre.WMin, CapFactor: pre.CapFactor,
+		Cores: pre.Cores, WMin: pre.WMin,
 	}, nil
 }
 

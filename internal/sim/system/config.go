@@ -9,6 +9,8 @@
 package system
 
 import (
+	"fmt"
+
 	"chgraph/internal/sim/cache"
 	"chgraph/internal/sim/mem"
 	"chgraph/internal/sim/noc"
@@ -37,6 +39,47 @@ type Config struct {
 	// PrefetchMLP is the factor for the CP agent, which keeps several
 	// prefetches outstanding.
 	PrefetchMLP int
+}
+
+// Bounds Validate enforces on the structures New allocates: a config past
+// them could not be built on a host, let alone replayed. The full-scale
+// Table I system models ~0.6M cache lines over 16 cores and banks.
+const (
+	maxUnits      = 1 << 10 // cores, L3 banks, controllers, mesh side
+	maxCacheLines = 1 << 22 // summed over every cache instance
+)
+
+// Validate reports whether the simulator can run c: at least one core and
+// one L3 bank, non-zero associativity at every cache level (set counts
+// divide by it), and sizes within the host bounds above. Zero mesh
+// dimensions, memory controllers and MLP factors are fine — the components
+// treat them as 1.
+func (c Config) Validate() error {
+	if c.Cores < 1 || c.Cores > maxUnits {
+		return fmt.Errorf("system: %d cores outside [1, %d]", c.Cores, maxUnits)
+	}
+	if c.L3Banks < 1 || c.L3Banks > maxUnits {
+		return fmt.Errorf("system: %d L3 banks outside [1, %d]", c.L3Banks, maxUnits)
+	}
+	if c.Mem.Controllers > maxUnits || c.Mesh.Width > maxUnits || c.Mesh.Height > maxUnits {
+		return fmt.Errorf("system: %d memory controllers or %dx%d mesh exceeds %d",
+			c.Mem.Controllers, c.Mesh.Width, c.Mesh.Height, maxUnits)
+	}
+	var lines uint64
+	for _, lv := range []struct {
+		name string
+		cfg  cache.Config
+		n    int
+	}{{"L1", c.L1, c.Cores}, {"L2", c.L2, c.Cores}, {"L3 bank", c.L3Bank, c.L3Banks}} {
+		if lv.cfg.Ways == 0 {
+			return fmt.Errorf("system: %s has 0 ways", lv.name)
+		}
+		per := uint64(lv.cfg.Sets()) * uint64(lv.cfg.Ways)
+		if lines += per * uint64(lv.n); per > maxCacheLines || lines > maxCacheLines {
+			return fmt.Errorf("system: caches hold more than %d lines", maxCacheLines)
+		}
+	}
+	return nil
 }
 
 // DefaultConfig returns the paper's Table I system at full scale.

@@ -280,3 +280,34 @@ func TestDirectory(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigValidate: the paper's systems and their sweeps validate; every
+// config the hierarchy constructor cannot build (or would divide by zero
+// on) is an error.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []Config{DefaultConfig(), ScaledConfig(), ScaledConfig().WithCores(1), ScaledConfig().WithLLCBytes(48 << 10)} {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+	}
+	bad := map[string]func(*Config){
+		"no cores":        func(c *Config) { c.Cores = 0 },
+		"negative cores":  func(c *Config) { c.Cores = -2 },
+		"too many cores":  func(c *Config) { c.Cores = maxUnits + 1 },
+		"no L3 banks":     func(c *Config) { c.L3Banks = 0 },
+		"zero L1 ways":    func(c *Config) { c.L1.Ways = 0 },
+		"zero L2 ways":    func(c *Config) { c.L2.Ways = 0 },
+		"zero L3 ways":    func(c *Config) { c.L3Bank.Ways = 0 },
+		"huge L3 bank":    func(c *Config) { c.L3Bank.SizeBytes = 1 << 40 },
+		"huge L1 ways":    func(c *Config) { c.L1.Ways = 1 << 31 },
+		"huge mesh":       func(c *Config) { c.Mesh.Width = 1 << 40 },
+		"huge controller": func(c *Config) { c.Mem.Controllers = 1 << 20 },
+	}
+	for name, edit := range bad {
+		c := ScaledConfig()
+		edit(&c)
+		if c.Validate() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
