@@ -34,12 +34,15 @@ perfbench-check:
 # bench runs the host-parallelism benchmarks (Prepare and engine.Run with
 # Workers=1 vs all CPUs; speedup requires a multi-core host), the timing
 # simulator's hot-loop benchmark (BenchmarkRunPhase, which fails if a warm
-# phase allocates) and the OAG build and chain generator host paths
-# (BenchmarkOAGBuild, BenchmarkChainGeneration; time and allocations).
+# phase allocates), its replay of real engine phases (BenchmarkReplayPhases:
+# six engines x PR/BFS/CC on WEB, host ns per simulated op; fails if a
+# replayed phase's duration differs from the recorded one) and the OAG
+# build and chain generator host paths (BenchmarkOAGBuild,
+# BenchmarkChainGeneration; time and allocations).
 # BENCHTIME=1x gives the quick smoke pass CI uses.
 BENCHTIME ?= 3x
 bench:
-	$(GO) test ./internal/engine/ ./internal/sim/system/ -run xxx -bench 'Workers|RunPhase' -benchtime $(BENCHTIME)
+	$(GO) test ./internal/engine/ ./internal/sim/system/ -run xxx -bench 'Workers|RunPhase|ReplayPhases' -benchtime $(BENCHTIME)
 	$(GO) test . -run xxx -bench '^Benchmark(OAGBuild|ChainGeneration)$$' -benchtime $(BENCHTIME)
 
 # bench-smoke is the CI perf trace: one quick benchmark pass plus a scaled-
@@ -112,6 +115,7 @@ fuzz:
 	done
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oag/ -run '^$$' -fuzz '^FuzzMutationSequence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/cache/ -run '^$$' -fuzz '^FuzzCacheOps$$' -fuzztime $(FUZZTIME)
 	for t in FuzzPrepareDecode FuzzStepDecode FuzzCommitDecode FuzzMarksDecode; do \
 		$(GO) test ./internal/dist/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
