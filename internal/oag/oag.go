@@ -180,7 +180,7 @@ func (s *sides) build(wMin uint32, maxDeg int, chunks []hypergraph.Chunk, worker
 	for _, n := range chunkOps {
 		ops += n
 	}
-	return assemble(s.side, adjTmp, ops)
+	return assemble(s.side, adjTmp, ops, nil)
 }
 
 // wedge is one weighted adjacency entry during construction.
@@ -242,19 +242,29 @@ func sortAndCap(adjTmp [][]wedge, a uint32, maxDeg int) uint64 {
 	return ops
 }
 
-// assemble flattens the per-node adjacency into the CSR arrays.
-func assemble(side Side, adjTmp [][]wedge, buildOps uint64) *OAG {
+// assemble flattens the per-node adjacency into the CSR arrays: node a's
+// list is adjTmp[a], or, for a node keep copies, its list in keep's old
+// OAG. keep is nil for a fresh build.
+func assemble(side Side, adjTmp [][]wedge, buildOps uint64, keep *kept) *OAG {
 	off := make([]uint32, len(adjTmp)+1)
 	for a, es := range adjTmp {
-		off[a+1] = off[a] + uint32(len(es))
+		l := uint32(len(es))
+		if keep.copies(a) {
+			l = keep.listLen(a)
+		}
+		off[a+1] = off[a] + l
 	}
 	o := &OAG{side: side, off: off, buildOps: buildOps}
 	o.adj = make([]uint32, off[len(adjTmp)])
 	o.w = make([]uint32, len(o.adj))
 	for a, es := range adjTmp {
+		adj, w := o.adj[off[a]:off[a+1]], o.w[off[a]:off[a+1]]
+		if keep.copies(a) {
+			keep.copyList(a, adj, w)
+			continue
+		}
 		for i, e := range es {
-			o.adj[off[a]+uint32(i)] = e.b
-			o.w[off[a]+uint32(i)] = e.w
+			adj[i], w[i] = e.b, e.w
 		}
 	}
 	return o
