@@ -38,12 +38,15 @@ perfbench-check:
 # six engines x PR/BFS/CC on WEB, host ns per simulated op; fails if a
 # replayed phase's duration differs from the recorded one) and the OAG
 # build and chain generator host paths (BenchmarkOAGBuild,
-# BenchmarkChainGeneration; time and allocations).
+# BenchmarkChainGeneration; time and allocations), and one full dist worker
+# session on a warm in-process worker (BenchmarkWorkerSession: prepare,
+# step, commit, finish; host time and allocations per session).
 # BENCHTIME=1x gives the quick smoke pass CI uses.
 BENCHTIME ?= 3x
 bench:
 	$(GO) test ./internal/engine/ ./internal/sim/system/ -run xxx -bench 'Workers|RunPhase|ReplayPhases' -benchtime $(BENCHTIME)
 	$(GO) test . -run xxx -bench '^Benchmark(OAGBuild|ChainGeneration)$$' -benchtime $(BENCHTIME)
+	$(GO) test ./internal/dist/ -run xxx -bench '^BenchmarkWorkerSession$$' -benchtime $(BENCHTIME)
 
 # bench-smoke is the CI perf trace: one quick benchmark pass plus a scaled-
 # down bench session whose per-run timelines land in bench-metrics.json
@@ -116,6 +119,6 @@ fuzz:
 	$(GO) test ./internal/shard/ -run '^$$' -fuzz '^FuzzPartition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/oag/ -run '^$$' -fuzz '^FuzzMutationSequence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/cache/ -run '^$$' -fuzz '^FuzzCacheOps$$' -fuzztime $(FUZZTIME)
-	for t in FuzzPrepareDecode FuzzStepDecode FuzzCommitDecode FuzzMarksDecode; do \
+	for t in FuzzPrepareDecode FuzzStepDecode FuzzCommitDecode FuzzMarksDecode FuzzSourcesDecode FuzzResolutionsDecode; do \
 		$(GO) test ./internal/dist/ -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done

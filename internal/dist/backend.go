@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"chgraph/internal/algorithms"
 	"chgraph/internal/bitset"
 	"chgraph/internal/engine"
+	"chgraph/internal/hypergraph"
 	"chgraph/internal/obs"
 	"chgraph/internal/shard"
 )
@@ -25,7 +25,7 @@ type stage int
 
 const (
 	stageIdle       stage = iota // before the iteration's hyperedge Begin
-	stageHBegun                  // hyperedge step begun (marks held)
+	stageHBegun                  // hyperedge step begun (sources held)
 	stageHCommitted              // hyperedge phase committed
 	stageVBegun                  // vertex step begun
 	stageVCommitted              // vertex phase committed (pre-advance)
@@ -56,9 +56,15 @@ type remoteBackend struct {
 	iter  int
 	stage stage
 	front bitset.Bitmap // local H frontier as shipped
-	marks []uint32      // live step's (src, dst) pairs, interleaved
-	resH  []byte        // resolution bytes per phase
-	resV  []byte
+	srcs  []uint32      // live step's sources, in mark order
+	marks int           // live step's mark count
+	resH  resolutions   // resolutions per phase
+	resV  resolutions
+
+	// cur expands the live step's sources into marks (Drain); reply is the
+	// reused receive buffer behind post's result.
+	cur   hypergraph.AdjCursor
+	reply []byte
 
 	// Mirrors of worker-held results.
 	nextV     bitset.Bitmap
@@ -78,8 +84,9 @@ func (b *remoteBackend) Shard() *shard.Shard { return b.sh }
 func (b *remoteBackend) url(path string) string { return b.base + path }
 
 // post issues one POST with the per-attempt timeout and returns the reply
-// body. Non-2xx statuses map to rpcError so the retry loop can tell a stale
-// session (409 → rejoin) from a protocol bug (4xx → fail fast).
+// body, which aliases b.reply and is valid until the next post. Non-2xx
+// statuses map to rpcError so the retry loop can tell a stale session (409
+// → rejoin) from a protocol bug (4xx → fail fast).
 func (b *remoteBackend) post(ctx context.Context, path string, body []byte) ([]byte, error) {
 	actx, cancel := context.WithTimeout(ctx, b.co.opt.StepTimeout)
 	defer cancel()
@@ -93,7 +100,10 @@ func (b *remoteBackend) post(ctx context.Context, path string, body []byte) ([]b
 		return nil, err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	buf := bytes.NewBuffer(b.reply[:0])
+	_, err = buf.ReadFrom(resp.Body)
+	out := buf.Bytes()
+	b.reply = out
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +125,7 @@ func (e *rpcError) Error() string { return fmt.Sprintf("worker replied %d: %s", 
 // malformed forever, and so is a mark outside the shard); 409 is the rejoin
 // signal and 5xx/transport errors are retryable.
 func fatal(err error) bool {
-	if _, ok := err.(*markRangeError); ok {
+	if _, ok := err.(*protocolError); ok {
 		return true
 	}
 	re, ok := err.(*rpcError)
@@ -192,7 +202,7 @@ func (b *remoteBackend) handshake(ctx context.Context) error {
 	b.seq++
 	session := fmt.Sprintf("%s-%d-%d", b.co.runID, b.shardID, b.seq)
 	hdr, err := json.Marshal(prepareRequest{
-		Session: session, Shard: b.shardID, Iter: b.iter,
+		Wire: wireVersion, Session: session, Shard: b.shardID, Iter: b.iter,
 		Options: b.wopts, ChargePreprocess: b.chargePre, Observe: b.observe,
 	})
 	if err != nil {
@@ -209,6 +219,9 @@ func (b *remoteBackend) handshake(ctx context.Context) error {
 	var rep prepareReply
 	if err := json.Unmarshal(rhdr, &rep); err != nil {
 		return fmt.Errorf("dist: bad prepare reply: %w", err)
+	}
+	if rep.Wire != wireVersion {
+		return &protocolError{fmt.Sprintf("dist: worker speaks wire version %d, coordinator %d", rep.Wire, wireVersion)}
 	}
 	b.session = session
 	b.pre = rep.PreprocessCycles
@@ -230,12 +243,12 @@ func (b *remoteBackend) rejoin(ctx context.Context) error {
 	defer func() { b.replaying = false }()
 	if b.stage >= stageHBegun {
 		// The hyperedge marks the restarted worker compiles must match the
-		// ones the lost worker compiled: the retained resolution bytes (or,
-		// pre-drain, the retained marks themselves) were produced against
-		// them. b.marks still holds the H marks until Begin(V) overwrites it.
-		want := len(b.marks) / 2
+		// ones the lost worker compiled: the retained resolutions (or,
+		// pre-drain, the retained sources themselves) were produced against
+		// them. b.marks still counts the H marks until Begin(V) overwrites it.
+		want := b.marks
 		if b.stage >= stageVBegun {
-			want = len(b.resH)
+			want = b.resH.n
 		}
 		n, err := b.stepRPC(ctx, 0, b.front)
 		if err != nil {
@@ -246,12 +259,12 @@ func (b *remoteBackend) rejoin(ctx context.Context) error {
 		}
 	}
 	if b.stage >= stageHCommitted {
-		if _, err := b.commitRPC(ctx, 0, b.resH); err != nil {
+		if _, err := b.commitRPC(ctx, 0, &b.resH); err != nil {
 			return err
 		}
 	}
 	if b.stage >= stageVBegun {
-		want := len(b.resV)
+		want := b.resV.n
 		n, err := b.stepRPC(ctx, 1, nil)
 		if err != nil {
 			return err
@@ -261,17 +274,17 @@ func (b *remoteBackend) rejoin(ctx context.Context) error {
 		}
 	}
 	if b.stage >= stageVCommitted {
-		if _, err := b.commitRPC(ctx, 1, b.resV); err != nil {
+		if _, err := b.commitRPC(ctx, 1, &b.resV); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// stepRPC begins a phase on the worker and stores the returned marks, each
-// checked against the shard: Drain indexes the shard's id maps with them.
-// Hyperedge phases (0) mark (vertex, hyperedge) pairs, vertex phases (1)
-// (hyperedge, vertex) pairs.
+// stepRPC begins a phase on the worker and stores the returned sources and
+// mark count, checked against the shard: Drain indexes the shard's id maps
+// with the marks it expands from them. Hyperedge phases (0) source from
+// vertices, vertex phases (1) from hyperedges.
 func (b *remoteBackend) stepRPC(ctx context.Context, phase int, frontier bitset.Bitmap) (int, error) {
 	hdr, err := json.Marshal(stepRequest{Session: b.session, Iter: b.iter, Phase: phase})
 	if err != nil {
@@ -283,19 +296,16 @@ func (b *remoteBackend) stepRPC(ctx context.Context, phase int, frontier bitset.
 	if err != nil {
 		return 0, err
 	}
-	numSrc, numDst := uint32(len(b.sh.Vertices)), uint32(len(b.sh.Hyperedges))
-	if phase == 1 {
-		numSrc, numDst = numDst, numSrc
-	}
-	if b.marks, err = decodeMarks(out, b.marks, numSrc, numDst); err != nil {
+	numSrc, deg, _ := phaseSources(b.sh.G, phase)
+	if b.srcs, b.marks, err = decodeSources(out, b.srcs, numSrc, deg); err != nil {
 		return 0, err
 	}
-	return len(b.marks) / 2, nil
+	return b.marks, nil
 }
 
-// commitRPC commits a phase with the given resolution bytes, updating the
+// commitRPC commits a phase with the given resolutions, updating the
 // result mirrors (and the next-vertex frontier after vertex phases).
-func (b *remoteBackend) commitRPC(ctx context.Context, phase int, res []byte) (uint64, error) {
+func (b *remoteBackend) commitRPC(ctx context.Context, phase int, res *resolutions) (uint64, error) {
 	hdr, err := json.Marshal(commitRequest{Session: b.session, Iter: b.iter, Phase: phase})
 	if err != nil {
 		return 0, err
@@ -351,8 +361,8 @@ func (b *remoteBackend) Begin(ctx context.Context, ph shard.Phase, frontierV bit
 				b.front.Set(uint32(lv))
 			}
 		}
-		b.resH = b.resH[:0]
-		b.resV = b.resV[:0]
+		b.resH.reset()
+		b.resV.reset()
 		err := b.retry(ctx, "step(hyperedge)", func(ctx context.Context) error {
 			_, err := b.stepRPC(ctx, 0, b.front)
 			return err
@@ -374,23 +384,28 @@ func (b *remoteBackend) Begin(ctx context.Context, ph shard.Phase, frontierV bit
 	return nil
 }
 
+// Drain expands each source into its incidence list in the coordinator's
+// copy of the shard graph — the marks the worker compiled, in order.
 func (b *remoteBackend) Drain(fn func(lsrc, ldst uint32) algorithms.EdgeResult) error {
-	res := &b.resH
+	phase, res := 0, &b.resH
 	if b.stage == stageVBegun {
-		res = &b.resV
+		phase, res = 1, &b.resV
 	}
-	buf := (*res)[:0]
-	for j := 0; j+1 < len(b.marks); j += 2 {
-		buf = append(buf, byte(fn(b.marks[j], b.marks[j+1])))
+	_, _, adj := phaseSources(b.sh.G, phase)
+	res.reset()
+	b.cur.Bind(adj)
+	for _, src := range b.srcs {
+		for _, dst := range b.cur.List(src) {
+			res.add(fn(src, dst))
+		}
 	}
-	*res = buf
 	return nil
 }
 
 func (b *remoteBackend) Commit(ctx context.Context) (uint64, error) {
-	phase, res := 0, b.resH
+	phase, res := 0, &b.resH
 	if b.stage == stageVBegun {
-		phase, res = 1, b.resV
+		phase, res = 1, &b.resV
 	}
 	var cycles uint64
 	err := b.retry(ctx, fmt.Sprintf("commit(phase %d)", phase), func(ctx context.Context) error {
@@ -416,8 +431,8 @@ func (b *remoteBackend) AdvanceIteration(context.Context) error {
 	// coordinator just rolls its replay log over to the next iteration.
 	b.iter++
 	b.stage = stageIdle
-	b.resH = b.resH[:0]
-	b.resV = b.resV[:0]
+	b.resH.reset()
+	b.resV.reset()
 	return nil
 }
 

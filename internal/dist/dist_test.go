@@ -251,20 +251,20 @@ func TestDistUnreachableWorkerFailsCleanly(t *testing.T) {
 	}
 }
 
-// markTamperer is a fake worker: a real Worker behind a handler that, on the
-// first /step of the given phase, appends one extra mark to the worker's
-// reply, built by bad from the shard's vertex and hyperedge counts.
-type markTamperer struct {
+// replyTamperer is a fake worker: a real Worker behind a handler that, on
+// the first /step of the given phase, replaces the worker's reply with the
+// one bad builds from the real mark count and sources and the shard's
+// vertex and hyperedge counts.
+type replyTamperer struct {
 	w        *Worker
 	phase    int
-	bad      func(numV, numE uint32) (uint32, uint32)
+	bad      func(n int, srcs []uint32, numV, numE uint32) []byte
 	mu       sync.Mutex
-	numV     uint32
-	numE     uint32
+	g        *hypergraph.Bipartite
 	tampered int
 }
 
-func (f *markTamperer) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+func (f *replyTamperer) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -277,7 +277,7 @@ func (f *markTamperer) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/prepare":
 		if _, g, err := decodePrepare(body); err == nil {
-			f.numV, f.numE = g.NumVertices(), g.NumHyperedges()
+			f.g = g
 		}
 	case "/step":
 		hdr, _, err := splitHeader(body)
@@ -286,48 +286,58 @@ func (f *markTamperer) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		}
 		rec := httptest.NewRecorder()
 		f.w.ServeHTTP(rec, r)
-		marks, err := decodeMarks(rec.Body.Bytes(), nil, f.numV+f.numE, f.numV+f.numE)
+		numSrc, deg, _ := phaseSources(f.g, f.phase)
+		srcs, n, err := decodeSources(rec.Body.Bytes(), nil, numSrc, deg)
 		if rec.Code != http.StatusOK || err != nil {
 			http.Error(rw, fmt.Sprintf("fake worker: real step failed: %d %v", rec.Code, err), http.StatusInternalServerError)
 			return
 		}
-		src, dst := f.bad(f.numV, f.numE)
-		marks = append(marks, src, dst)
 		f.tampered++
-		rw.Write(appendMarks(nil, len(marks)/2, func(i int) (uint32, uint32) { return marks[2*i], marks[2*i+1] }))
+		rw.Write(f.bad(n, srcs, f.g.NumVertices(), f.g.NumHyperedges()))
 		return
 	}
 	f.w.ServeHTTP(rw, r)
 }
 
 // TestDistRejectsOutOfRangeMarks pins the coordinator's trust boundary on
-// /step replies: a mark naming a vertex or hyperedge the shard does not
-// have, on either side of either phase, fails the run with a clean error on
-// the first reply instead of indexing the shard's id maps out of range, and
-// is not retried.
+// /step replies: a source naming a vertex or hyperedge the shard does not
+// have, in either phase, or sources whose incidence lists do not hold the
+// stated mark count, fails the run with a clean error on the first reply
+// instead of indexing the shard's id maps out of range or applying marks the
+// worker never compiled, and is not retried.
 func TestDistRejectsOutOfRangeMarks(t *testing.T) {
+	extra := func(bad func(numV, numE uint32) uint32) func(int, []uint32, uint32, uint32) []byte {
+		return func(n int, srcs []uint32, v, e uint32) []byte {
+			return encodeSources(uint64(n), append(srcs, bad(v, e))...)
+		}
+	}
 	cases := []struct {
 		name  string
 		phase int
-		bad   func(numV, numE uint32) (uint32, uint32)
+		bad   func(n int, srcs []uint32, numV, numE uint32) []byte
+		want  string
 	}{
-		{"hyperedge phase, vertex src", 0, func(v, e uint32) (uint32, uint32) { return v, 0 }},
-		{"hyperedge phase, hyperedge dst", 0, func(v, e uint32) (uint32, uint32) { return 0, e }},
-		{"vertex phase, hyperedge src", 1, func(v, e uint32) (uint32, uint32) { return e, 0 }},
-		{"vertex phase, vertex dst", 1, func(v, e uint32) (uint32, uint32) { return 0, v }},
-		{"vertex phase, far out", 1, func(v, e uint32) (uint32, uint32) { return math.MaxUint32, math.MaxUint32 }},
+		{"hyperedge phase, vertex src", 0, extra(func(v, e uint32) uint32 { return v }), "outside the shard"},
+		{"vertex phase, hyperedge src", 1, extra(func(v, e uint32) uint32 { return e }), "outside the shard"},
+		{"vertex phase, far out", 1, extra(func(v, e uint32) uint32 { return math.MaxUint32 }), "outside the shard"},
+		{"hyperedge phase, count over", 0, func(n int, srcs []uint32, v, e uint32) []byte {
+			return encodeSources(uint64(n+1), srcs...)
+		}, "mark count"},
+		{"vertex phase, count under", 1, func(n int, srcs []uint32, v, e uint32) []byte {
+			return encodeSources(uint64(n-1), srcs...)
+		}, "mark count"},
 	}
 	g := smallHG(7)
 	eo := engine.Options{Kind: engine.ChGraph, Sys: testSys()}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fake := &markTamperer{w: NewWorker(), phase: tc.phase, bad: tc.bad}
+			fake := &replyTamperer{w: NewWorker(), phase: tc.phase, bad: tc.bad}
 			srv := httptest.NewServer(fake)
 			t.Cleanup(srv.Close)
 			addrs := append(startHTTPWorkers(t, 1), srv.URL)
 			_, err := RunCtx(context.Background(), g, algorithms.NewPageRank(4), fastOpts(addrs, "", eo))
-			if err == nil || !strings.Contains(err.Error(), "outside the shard") {
-				t.Fatalf("run with an out-of-range mark: err = %v, want a mark range error", err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run with a tampered /step reply: err = %v, want %q", err, tc.want)
 			}
 			fake.mu.Lock()
 			defer fake.mu.Unlock()

@@ -7,15 +7,15 @@
 // Wire protocol (one coordinator, one worker per shard; the worker is a
 // plain HTTP server):
 //
-//	POST /prepare   handshake: shard spec + engine options + the shard's
-//	                sub-hypergraph; the worker (re)builds its engine and
-//	                adopts the request's session id.
+//	POST /prepare   handshake: wire version, shard spec, engine options and
+//	                the shard's sub-hypergraph; the worker (re)builds its
+//	                engine and adopts the request's session id.
 //	POST /step      begin one phase: the request carries the shard-local
 //	                vertex frontier bitmap (hyperedge phases; vertex phases
 //	                source from the worker-held hyperedge frontier), the
-//	                response the compiled marks.
-//	POST /commit    resolve + commit: the request carries one EdgeResult
-//	                byte per mark, the response the phase's simulated
+//	                response the phase's mark count and its sources.
+//	POST /commit    resolve + commit: the request carries 2 bits per mark
+//	                (Wrote, Activate), the response the phase's simulated
 //	                duration and — after vertex phases — the shard-local
 //	                next-vertex frontier bitmap for the coordinator's
 //	                OR-merge.
@@ -24,12 +24,14 @@
 //
 // Binary bodies are length-prefixed little-endian: a uint32 JSON header
 // length, the JSON header, then the payload (the graph codec's encoding,
-// bitset.Bitmap wire encoding, packed uint32 mark pairs, or raw EdgeResult
-// bytes). Determinism: the worker applies resolutions through the exact
-// engine.Step discipline the in-process backend uses, and the coordinator
-// applies HF/VF against the single global state in the same shard-major
-// order, so state checksums and (crash-free) simulated cycles are
-// bit-identical to shard.RunCtx.
+// bitset.Bitmap wire encoding, or packed resolutions). A /step reply has no
+// header: every engine's marks are whole incidence lists of their sources,
+// in order, so the worker ships each source once and the coordinator, which
+// holds the same shard graph, expands its list itself. Determinism: the
+// worker applies resolutions through the exact engine.Step discipline the
+// in-process backend uses, and the coordinator applies HF/VF against the
+// single global state in the same shard-major order, so state checksums and
+// (crash-free) simulated cycles are bit-identical to shard.RunCtx.
 package dist
 
 import (
@@ -37,6 +39,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"chgraph/internal/algorithms"
 	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/obs"
@@ -73,10 +76,18 @@ func (w wireOptions) engineOptions(workers int) (engine.Options, error) {
 	return engine.Options{Kind: kind, Sys: w.Sys, DMax: w.DMax, WMin: w.WMin, Workers: workers}, nil
 }
 
+// wireVersion names the /step and /commit payload formats. Both ends
+// state it in the handshake and refuse a mismatch, so a worker and a
+// coordinator built from different versions fail cleanly at /prepare
+// instead of misreading each other's payloads.
+const wireVersion = 2
+
 // prepareRequest is the /prepare JSON header; the request payload is the
 // shard's sub-hypergraph in the graph codec's encoding
 // (hypergraph.AppendCompressed), the same bytes as a CHG2 file.
 type prepareRequest struct {
+	// Wire is the coordinator's wireVersion.
+	Wire int `json:"wire"`
 	// Session is the coordinator-chosen id every subsequent request must
 	// echo; a worker restarted since the handshake answers 409 and the
 	// coordinator re-prepares.
@@ -99,6 +110,8 @@ type prepareRequest struct {
 }
 
 type prepareReply struct {
+	// Wire is the worker's wireVersion.
+	Wire int `json:"wire"`
 	// PreprocessCycles is the modelled preprocessing time (0 unless
 	// ChargePreprocess; the coordinator merges the max over shards).
 	PreprocessCycles uint64 `json:"preprocess_cycles"`
@@ -112,8 +125,8 @@ type stepRequest struct {
 	Phase   int    `json:"phase"`
 }
 
-// commitRequest is the /commit JSON header; the payload is a uint32 count
-// followed by one EdgeResult byte per mark, in mark order.
+// commitRequest is the /commit JSON header; the payload is the phase's
+// resolutions (appendResolutions).
 type commitRequest struct {
 	Session string `json:"session"`
 	Iter    int    `json:"iter"`
@@ -186,71 +199,134 @@ func decodePrepare(body []byte) (prepareRequest, *hypergraph.Bipartite, error) {
 	return req, g, nil
 }
 
-// appendMarks appends the packed mark pairs of a compiled step: a uint32
-// count then (src, dst) uint32 pairs in mark order.
-func appendMarks(dst []byte, n int, mark func(i int) (uint32, uint32)) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	for i := 0; i < n; i++ {
-		s, d := mark(i)
-		dst = binary.LittleEndian.AppendUint32(dst, s)
-		dst = binary.LittleEndian.AppendUint32(dst, d)
+// appendSources appends a /step reply: the phase's mark count, then the
+// source of each run of marks as the zigzag delta from the previous source,
+// all varints. Every engine's marks are whole incidence lists of their
+// sources, in order (engine/phase.go), so one source stands for its deg(src)
+// marks; deg gives the phase's source degrees. A run of marks that is not
+// one source's whole list breaks that engine invariant and panics.
+func appendSources(dst []byte, n int, mark func(i int) (uint32, uint32), deg func(uint32) uint32) []byte {
+	dst = binary.AppendUvarint(dst, uint64(n))
+	var prev uint32
+	for i := 0; i < n; {
+		src, _ := mark(i)
+		end := i + int(deg(src))
+		if end <= i || end > n {
+			panic(fmt.Sprintf("dist: marks %d..%d cannot hold source %d's incidence list of %d", i, n, src, deg(src)))
+		}
+		for ; i < end; i++ {
+			if s, _ := mark(i); s != src {
+				panic(fmt.Sprintf("dist: mark %d has source %d inside source %d's incidence list", i, s, src))
+			}
+		}
+		dst = hypergraph.AppendDelta(dst, prev, src)
+		prev = src
 	}
 	return dst
 }
 
-// decodeMarks reverses appendMarks into an interleaved (src, dst) slice.
-// Every src id must be below numSrc and every dst id below numDst, the
-// shard-local counts of the phase's source and destination sides; a mark
-// outside them is a markRangeError.
-func decodeMarks(data []byte, into []uint32, numSrc, numDst uint32) ([]uint32, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("dist: truncated mark count")
+// phaseSources returns the source side of phase on g: its element count,
+// each element's degree and its incidence lists. Hyperedge phases (0)
+// source from vertices, vertex phases (1) from hyperedges.
+func phaseSources(g *hypergraph.Bipartite, phase int) (uint32, func(uint32) uint32, *hypergraph.PackedAdj) {
+	if phase == 1 {
+		return g.NumHyperedges(), g.HyperedgeDegree, g.PackedH()
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if len(data)/8 < n {
-		return nil, fmt.Errorf("dist: truncated marks (want %d pairs, have %d bytes)", n, len(data))
+	return g.NumVertices(), g.VertexDegree, g.PackedV()
+}
+
+// decodeSources reverses appendSources into into (reused), checking the
+// reply against the coordinator's copy of the shard: every source must be
+// below numSrc, and the sources' degrees must add up to the stated mark
+// count. It returns the sources and the mark count. A reply failing either
+// check is a protocolError.
+func decodeSources(data []byte, into []uint32, numSrc uint32, deg func(uint32) uint32) ([]uint32, int, error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 {
+		return nil, 0, fmt.Errorf("dist: truncated mark count")
 	}
+	data = data[k:]
 	into = into[:0]
-	for i := 0; i < n; i++ {
-		src, dst := binary.LittleEndian.Uint32(data[8*i:]), binary.LittleEndian.Uint32(data[8*i+4:])
-		if src >= numSrc || dst >= numDst {
-			return nil, &markRangeError{i, src, dst, numSrc, numDst}
+	var prev uint32
+	var marks uint64
+	for len(data) > 0 {
+		id, k := hypergraph.ReadDelta(data, prev)
+		if k <= 0 {
+			return nil, 0, fmt.Errorf("dist: truncated source %d", len(into))
 		}
-		into = append(into, src, dst)
+		data = data[k:]
+		if id < 0 || id >= int64(numSrc) {
+			return nil, 0, &protocolError{fmt.Sprintf("dist: mark source %d is %d, outside the shard's %d", len(into), id, numSrc)}
+		}
+		prev = uint32(id)
+		if marks += uint64(deg(prev)); marks > n {
+			return nil, 0, &protocolError{fmt.Sprintf("dist: mark count %d, but the sources' incidence lists hold more", n)}
+		}
+		into = append(into, prev)
 	}
-	return into, nil
+	if marks != n {
+		return nil, 0, &protocolError{fmt.Sprintf("dist: mark count %d, but the sources' incidence lists hold %d", n, marks)}
+	}
+	return into, int(n), nil
 }
 
-// markRangeError is a mark naming an element the shard does not have. The
-// worker and the coordinator disagree about the shard, so no retry can fix
-// it.
-type markRangeError struct {
-	i              int
-	src, dst       uint32
-	numSrc, numDst uint32
+// protocolError is a worker reply that contradicts the coordinator: a
+// /step source the shard does not have, sources whose incidence lists do
+// not add up to the stated mark count, or a handshake from another wire
+// version. The two ends disagree about the shard or the protocol, so no
+// retry can fix it.
+type protocolError struct{ msg string }
+
+func (e *protocolError) Error() string { return e.msg }
+
+// resolutionBits are the EdgeResult bits a worker needs from the
+// coordinator: whether to stitch the destination value write, and whether
+// the destination may join the next frontier.
+const resolutionBits = algorithms.Wrote | algorithms.Activate
+
+// resolutions packs a phase's EdgeResults at 2 bits per mark, four marks to
+// a byte, low bits first.
+type resolutions struct {
+	n    int
+	bits []byte
 }
 
-func (e *markRangeError) Error() string {
-	return fmt.Sprintf("dist: mark %d is (%d, %d), outside the shard's %d x %d", e.i, e.src, e.dst, e.numSrc, e.numDst)
+func (r *resolutions) reset() { r.n, r.bits = 0, r.bits[:0] }
+
+func (r *resolutions) add(e algorithms.EdgeResult) {
+	if r.n%4 == 0 {
+		r.bits = append(r.bits, 0)
+	}
+	r.bits[len(r.bits)-1] |= byte(e&resolutionBits) << (2 * (r.n % 4))
+	r.n++
 }
 
-// appendResolutions appends the resolution payload: uint32 count + one
-// EdgeResult byte per mark.
-func appendResolutions(dst, res []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(res)))
-	return append(dst, res...)
+// at returns mark i's resolution.
+func (r *resolutions) at(i int) algorithms.EdgeResult {
+	return algorithms.EdgeResult(r.bits[i/4]>>(2*(i%4))) & resolutionBits
 }
 
-// decodeResolutions reverses appendResolutions.
-func decodeResolutions(data []byte) ([]byte, error) {
+// appendResolutions appends the /commit payload: a uint32 mark count and
+// the packed bits.
+func appendResolutions(dst []byte, r *resolutions) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.n))
+	return append(dst, r.bits...)
+}
+
+// decodeResolutions reverses appendResolutions; the result aliases data.
+// The payload length must be exact and the last byte's unused bits zero, so
+// a body of another wire version cannot pass.
+func decodeResolutions(data []byte) (resolutions, error) {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("dist: truncated resolution count")
+		return resolutions{}, fmt.Errorf("dist: truncated resolution count")
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
-	if len(data) < n {
-		return nil, fmt.Errorf("dist: truncated resolutions (want %d, have %d)", n, len(data))
+	if want := (uint64(n) + 3) / 4; uint64(len(data)) != want {
+		return resolutions{}, fmt.Errorf("dist: %d resolution bytes for %d marks, want %d", len(data), n, want)
 	}
-	return data[:n], nil
+	if n%4 != 0 && data[len(data)-1]>>(2*(n%4)) != 0 {
+		return resolutions{}, fmt.Errorf("dist: resolution padding bits set")
+	}
+	return resolutions{n: n, bits: data}, nil
 }

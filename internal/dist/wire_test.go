@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"chgraph/internal/algorithms"
+	"chgraph/internal/bitset"
 	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/shard"
@@ -208,47 +210,115 @@ func codecCopy(t *testing.T, g *hypergraph.Bipartite) *hypergraph.Bipartite {
 	return c
 }
 
-func TestMarksRoundTrip(t *testing.T) {
-	pairs := [][2]uint32{{0, 3}, {7, 7}, {1 << 20, 0}}
-	blob := appendMarks(nil, len(pairs), func(i int) (uint32, uint32) { return pairs[i][0], pairs[i][1] })
-	got, err := decodeMarks(blob, nil, 1<<20+1, 8)
-	if err != nil {
-		t.Fatal(err)
+// encodeSources builds a /step reply from a stated mark count and a source
+// sequence, consistent or not, the way appendSources lays it out.
+func encodeSources(n uint64, srcs ...uint32) []byte {
+	out := binary.AppendUvarint(nil, n)
+	var prev uint32
+	for _, s := range srcs {
+		out = hypergraph.AppendDelta(out, prev, s)
+		prev = s
 	}
-	want := []uint32{0, 3, 7, 7, 1 << 20, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("marks %v, want %v", got, want)
-	}
-	// Reuse: decoding a smaller set into the same slice must not allocate.
-	reused, err := decodeMarks(appendMarks(nil, 1, func(int) (uint32, uint32) { return 9, 9 }), got, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &reused[0] != &got[0] || len(reused) != 2 {
-		t.Fatalf("decode did not reuse backing array (len %d)", len(reused))
-	}
-	if _, err := decodeMarks(blob[:len(blob)-1], nil, 1<<20+1, 8); err == nil {
-		t.Fatal("truncated marks: want error")
-	}
-	for _, lim := range [][2]uint32{{1 << 20, 8}, {1<<20 + 1, 7}} {
-		_, err := decodeMarks(blob, nil, lim[0], lim[1])
-		if _, ok := err.(*markRangeError); !ok || !fatal(err) {
-			t.Fatalf("limits %v: got %v, want a non-retryable markRangeError", lim, err)
+	return out
+}
+
+// listMarks expands srcs into the marks an engine compiles for them: each
+// source's whole incidence list in adj, in order.
+func listMarks(adj *hypergraph.PackedAdj, srcs ...uint32) [][2]uint32 {
+	var marks [][2]uint32
+	cur := adj.NewCursor()
+	for _, s := range srcs {
+		for _, d := range cur.List(s) {
+			marks = append(marks, [2]uint32{s, d})
 		}
 	}
+	return marks
+}
+
+func TestMarksRoundTrip(t *testing.T) {
+	g := fuzzShard()
+	numV, deg, adj := phaseSources(g, 0)
+	srcs := []uint32{2, 0, 4}
+	marks := listMarks(adj, srcs...)
+	mark := func(i int) (uint32, uint32) { return marks[i][0], marks[i][1] }
+	blob := appendSources(nil, len(marks), mark, deg)
+	if want := encodeSources(uint64(len(marks)), srcs...); !bytes.Equal(blob, want) {
+		t.Fatalf("reply %v, want %v", blob, want)
+	}
+	got, n, err := decodeSources(blob, nil, numV, deg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, srcs) || n != len(marks) {
+		t.Fatalf("sources %v with %d marks, want %v with %d", got, n, srcs, len(marks))
+	}
+	// Reuse: decoding a smaller set into the same slice must not allocate.
+	reused, _, err := decodeSources(encodeSources(2, 1), got, numV, deg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &reused[0] != &got[0] || len(reused) != 1 {
+		t.Fatalf("decode did not reuse backing array (len %d)", len(reused))
+	}
+	if _, _, err := decodeSources(append(blob[:len(blob):len(blob)], 0x80), nil, numV, deg); err == nil || fatal(err) {
+		t.Fatalf("truncated source: got %v, want a retryable decode error", err)
+	}
+	for _, bad := range []struct {
+		name string
+		data []byte
+		num  uint32
+	}{
+		{"source on the bound", blob, 4},
+		{"count above the lists", encodeSources(uint64(len(marks)+1), srcs...), numV},
+		{"count below the lists", encodeSources(uint64(len(marks)-1), srcs...), numV},
+		{"count without sources", encodeSources(1), numV},
+	} {
+		_, _, err := decodeSources(bad.data, nil, bad.num, deg)
+		if _, ok := err.(*protocolError); !ok || !fatal(err) {
+			t.Fatalf("%s: got %v, want a non-retryable protocolError", bad.name, err)
+		}
+	}
+	// A run of marks that is not one source's whole list breaks the
+	// engine invariant the reply relies on.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("encoding a partial incidence list: want a panic")
+		}
+	}()
+	appendSources(nil, len(marks)-1, mark, deg)
 }
 
 func TestResolutionsRoundTrip(t *testing.T) {
-	res := []byte{0, 1, 2, 255}
-	got, err := decodeResolutions(appendResolutions(nil, res))
+	in := []algorithms.EdgeResult{0, algorithms.Wrote, algorithms.Activate, algorithms.Wrote | algorithms.Activate, algorithms.Activate}
+	r := &resolutions{}
+	for _, e := range in {
+		r.add(e)
+	}
+	blob := appendResolutions(nil, r)
+	if len(blob) != 4+2 {
+		t.Fatalf("%d marks packed into %d bytes, want 4+2", len(in), len(blob))
+	}
+	got, err := decodeResolutions(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, res) {
-		t.Fatalf("resolutions %v, want %v", got, res)
+	if got.n != len(in) {
+		t.Fatalf("%d resolutions, want %d", got.n, len(in))
 	}
-	if _, err := decodeResolutions(appendResolutions(nil, res)[:5]); err == nil {
-		t.Fatal("truncated resolutions: want error")
+	for i, e := range in {
+		if got.at(i) != e {
+			t.Fatalf("resolution %d is %v, want %v", i, got.at(i), e)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"truncated":                      blob[:5],
+		"one too long":                   append(blob[:len(blob):len(blob)], 0),
+		"padding set":                    append(blob[:len(blob)-1:len(blob)-1], blob[len(blob)-1]|0x40),
+		"byte per mark (wire version 1)": append(binary.LittleEndian.AppendUint32(nil, uint32(len(in))), 0, 1, 2, 3, 2),
+	} {
+		if _, err := decodeResolutions(bad); err == nil {
+			t.Fatalf("%s: want error", name)
+		}
 	}
 }
 
@@ -287,5 +357,90 @@ func TestWireOptionsCoverEngineOptions(t *testing.T) {
 	}
 	if _, ok := reflect.TypeOf(prepareRequest{}).FieldByName("ChargePreprocess"); !ok {
 		t.Error("prepareRequest does not carry ChargePreprocess")
+	}
+}
+
+// TestSourcesReproduceMarks pins the engine invariant the /step reply
+// relies on: for every engine kind, in both phase directions, a Step's
+// marks are the whole incidence lists of its sources, in order. Each phase
+// of a sparse (BFS) and a dense, replaying (PageRank) run on every shard of
+// a two-way split is encoded as the worker encodes it, decoded as the
+// coordinator decodes it, and expanded through the shard graph; the result
+// must be Step.Mark exactly.
+func TestSourcesReproduceMarks(t *testing.T) {
+	g := smallHG(7)
+	a, err := shard.Partition(g, 2, shard.PolicyRange, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := shard.Materialize(g, a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []engine.Kind{engine.Hygra, engine.GLA, engine.ChGraph, engine.ChGraphHCG, engine.HATSV, engine.HygraPF}
+	algs := []func() algorithms.Algorithm{
+		func() algorithms.Algorithm { return algorithms.NewBFS(0) },
+		func() algorithms.Algorithm { return algorithms.NewPageRank(3) },
+	}
+	for _, kind := range kinds {
+		for _, sh := range p.Shards {
+			for _, mk := range algs {
+				alg := mk()
+				checkRunSources(t, sh.G, alg, engine.Options{Kind: kind, Sys: testSys(), WMin: 1, Workers: 1})
+			}
+		}
+	}
+}
+
+// checkRunSources runs alg on g through the Step API, checking every
+// phase's marks against their encoded sources.
+func checkRunSources(t *testing.T, g *hypergraph.Bipartite, alg algorithms.Algorithm, opt engine.Options) {
+	t.Helper()
+	in, err := engine.NewInstance(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Finish()
+	s := algorithms.NewState(g)
+	frontV := bitset.New(g.NumVertices())
+	alg.Init(s, frontV)
+	cur := &hypergraph.AdjCursor{}
+	phase := func(st *engine.Step, ph int, fn func(*algorithms.State, uint32, uint32) algorithms.EdgeResult, next bitset.Bitmap) {
+		n := st.NumMarks()
+		numSrc, deg, adj := phaseSources(g, ph)
+		srcs, got, err := decodeSources(appendSources(nil, n, st.Mark, deg), nil, numSrc, deg)
+		if err != nil || got != n {
+			t.Fatalf("%v %s phase %d: decode: %v (%d marks, want %d)", opt.Kind, alg.Name(), ph, err, got, n)
+		}
+		cur.Bind(adj)
+		i := 0
+		for _, src := range srcs {
+			for _, dst := range cur.List(src) {
+				if ms, md := st.Mark(i); ms != src || md != dst {
+					t.Fatalf("%v %s phase %d: mark %d is (%d, %d), sources expand to (%d, %d)", opt.Kind, alg.Name(), ph, i, ms, md, src, dst)
+				}
+				i++
+			}
+		}
+		for i := 0; i < n; i++ {
+			src, dst := st.Mark(i)
+			r := fn(s, src, dst)
+			st.Resolve(i, r, r&algorithms.Activate != 0 && next.TestAndSet(dst))
+		}
+		st.Commit()
+	}
+	for it := 0; frontV.Count() > 0 && (alg.MaxIterations() == 0 || it < alg.MaxIterations()); it++ {
+		alg.BeforeHyperedgePhase(s)
+		frontE := bitset.New(g.NumHyperedges())
+		phase(in.BeginHyperedgeComputation(frontV, frontE), 0, alg.HF, frontE)
+		alg.BeforeVertexPhase(s)
+		nextV := bitset.New(g.NumVertices())
+		phase(in.BeginVertexComputation(frontE, nextV), 1, alg.VF, nextV)
+		s.Iter++
+		in.AdvanceIteration()
+		if alg.AfterVertexPhase(s, nextV) {
+			break
+		}
+		frontV = nextV
 	}
 }

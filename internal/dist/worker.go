@@ -193,6 +193,9 @@ func (w *Worker) prepare(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, errBad("%v", err)
 	}
+	if req.Wire != wireVersion {
+		return nil, errBad("dist: coordinator speaks wire version %d, worker %d", req.Wire, wireVersion)
+	}
 	workers := w.Workers
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
@@ -226,7 +229,7 @@ func (w *Worker) prepare(body []byte) ([]byte, error) {
 		in.AdvanceIteration()
 	}
 	w.iter = req.Iter
-	hdrOut, err := json.Marshal(prepareReply{PreprocessCycles: w.pre})
+	hdrOut, err := json.Marshal(prepareReply{Wire: wireVersion, PreprocessCycles: w.pre})
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +265,7 @@ func (w *Worker) step(body []byte) ([]byte, error) {
 		// Duplicate of the live step (the coordinator lost our reply):
 		// re-serve the marks. Anything else mid-step is a protocol breach.
 		if req.Iter == w.stIter && req.Phase == w.stPhase {
-			return appendMarks(nil, w.st.NumMarks(), w.st.Mark), nil
+			return w.stepReply(), nil
 		}
 		return nil, errStale("dist: step iter=%d phase=%d while step iter=%d phase=%d is live",
 			req.Iter, req.Phase, w.stIter, w.stPhase)
@@ -287,7 +290,13 @@ func (w *Worker) step(body []byte) ([]byte, error) {
 		return nil, errBad("dist: unknown phase %d", req.Phase)
 	}
 	w.stIter, w.stPhase, w.stLive = req.Iter, req.Phase, true
-	return appendMarks(nil, w.st.NumMarks(), w.st.Mark), nil
+	return w.stepReply(), nil
+}
+
+// stepReply encodes the live step's marks as their sources.
+func (w *Worker) stepReply() []byte {
+	_, deg, _ := phaseSources(w.g, w.stPhase)
+	return appendSources(nil, w.st.NumMarks(), w.st.Mark, deg)
 }
 
 func (w *Worker) commit(body []byte) ([]byte, error) {
@@ -319,8 +328,8 @@ func (w *Worker) commit(body []byte) ([]byte, error) {
 		return nil, errBad("%v", err)
 	}
 	st := w.st
-	if len(res) != st.NumMarks() {
-		return nil, errStale("dist: %d resolutions for %d marks (frontier divergence?)", len(res), st.NumMarks())
+	if res.n != st.NumMarks() {
+		return nil, errStale("dist: %d resolutions for %d marks (frontier divergence?)", res.n, st.NumMarks())
 	}
 	// Replay the coordinator's outcomes through the exact engine.Step
 	// discipline the in-process backend uses: the destination frontier's
@@ -332,9 +341,9 @@ func (w *Worker) commit(body []byte) ([]byte, error) {
 	if w.cap != nil {
 		w.cap.snap = nil
 	}
-	for j := 0; j < len(res); j++ {
+	for j := 0; j < res.n; j++ {
 		_, ldst := st.Mark(j)
-		r := algorithms.EdgeResult(res[j])
+		r := res.at(j)
 		st.Resolve(j, r, r&algorithms.Activate != 0 && next.TestAndSet(ldst))
 	}
 	cycles := st.Commit()

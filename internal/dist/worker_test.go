@@ -29,9 +29,13 @@ func post(t *testing.T, c *http.Client, url string, body []byte) (int, []byte) {
 }
 
 // rawPrepare builds a /prepare body for fuzzShard from a free-form JSON
-// header, so a test can send fields wireOptions does not declare.
+// header, so a test can send fields wireOptions does not declare. The
+// header states this build's wire version unless it names one.
 func rawPrepare(t *testing.T, hdr map[string]any) []byte {
 	t.Helper()
+	if _, ok := hdr["wire"]; !ok {
+		hdr["wire"] = wireVersion
+	}
 	js, err := json.Marshal(hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -51,12 +55,8 @@ func runPhase(t *testing.T, c *http.Client, base, session string) {
 	if status != http.StatusOK {
 		t.Fatalf("/step: %d %s", status, out)
 	}
-	g := fuzzShard()
-	marks, err := decodeMarks(out, nil, g.NumVertices(), g.NumHyperedges())
-	if err != nil {
-		t.Fatal(err)
-	}
-	status, out = post(t, c, base+"/commit", commitBody(t, commitRequest{Session: session}, make([]byte, len(marks)/2)))
+	marks := acceptMarks(t, fuzzShard(), out, 0)
+	status, out = post(t, c, base+"/commit", commitBody(t, commitRequest{Session: session}, noEffect(marks)))
 	if status != http.StatusOK {
 		t.Fatalf("/commit: %d %s", status, out)
 	}

@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"chgraph/internal/algorithms"
@@ -133,12 +134,10 @@ type Prep struct {
 	// HOAG drives chains over hyperedges (vertex-computation phases).
 	VOAG, HOAG *oag.OAG
 
-	// scratch recycles per-instance reuse arenas (runScratch) across the
-	// runs sharing this Prep — steady-state serve traffic and repeated
-	// sweeps reuse buffers instead of reallocating them each run. Prep must
-	// be shared by pointer; copying it would split the pool (go vet's
-	// copylocks check flags this).
-	scratch scratchPool
+	// borrowed counts the reuse arenas instances on this Prep hold (see
+	// ScratchOutstanding); the arenas themselves live in one process-wide
+	// pool.
+	borrowed atomic.Int64
 }
 
 // Prepare builds chunks and per-chunk OAGs for g at the default host
@@ -313,7 +312,18 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	if err != nil {
 		return nil, err
 	}
-	r := in.r
+	res, err := in.run(ctx, alg)
+	if err != nil {
+		in.Finish() // return the arena; a cancelled run's measurements are dropped
+		return nil, err
+	}
+	return res, nil
+}
+
+// run is RunCtx's iteration loop on an opened instance, which it Finishes
+// on success.
+func (in *Instance) run(ctx context.Context, alg algorithms.Algorithm) (*Result, error) {
+	g, r := in.g, in.r
 
 	var hostStart time.Time
 	if r.obs != nil {

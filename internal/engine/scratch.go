@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"chgraph/internal/bitset"
 	"chgraph/internal/core"
@@ -21,8 +20,9 @@ import (
 // Ownership rules:
 //
 //   - Exactly one runner owns a runScratch at a time. NewInstanceCtx borrows
-//     one from the Prep's pool; Instance.Finish returns it. Runners built
-//     without a Prep pool (op-stream tests) lazily create a private one.
+//     one from the process-wide pool (arenas); Instance.Finish returns it.
+//     Runners built without NewInstanceCtx (op-stream tests) lazily create
+//     a private one.
 //   - Within a run, at most one Step is live per instance: beginStep rewrites
 //     the scratch wholesale, so a previous Step's marks, outcomes and agents
 //     are invalid the moment the next phase begins. engine.Run, the shard
@@ -152,33 +152,35 @@ func (s *runScratch) invalidate() {
 	s.chainCache[1].valid = false
 }
 
-// scratchPool recycles runScratch values across the runs sharing one Prep.
-// It is a separate named type so Prep's public surface stays plain data;
-// the zero value is ready (sync.Pool needs no New: Get may return nil).
-// outstanding counts borrowed-but-not-returned arenas, which pins the
-// "every Instance is Finished on every driver path" contract in tests.
-type scratchPool struct {
-	p           sync.Pool
-	outstanding atomic.Int64
-}
+// arenas recycles runScratch values across every run in the process, the
+// same idiom as oag's scratch pool: an arena carries no graph or core-count
+// state between runs (invalidate drops the chain cache's validity, ensure
+// grows the per-core slices, and every pass loops over the borrowing
+// instance's cores, never over len(cores)), so one pool serves every Prep,
+// and a dist worker's fresh Prep per session starts warm. Get may return
+// nil; GC empties the pool, so idle arenas never pin memory between runs.
+var arenas sync.Pool
 
-func (sp *scratchPool) get() *runScratch {
-	sp.outstanding.Add(1)
-	if s, _ := sp.p.Get().(*runScratch); s != nil {
+// getScratch borrows an arena for an instance on p; putScratch returns it.
+// p.borrowed counts the arenas on loan, which pins the "every Instance is
+// Finished on every driver path" contract in tests.
+func (p *Prep) getScratch() *runScratch {
+	p.borrowed.Add(1)
+	if s, _ := arenas.Get().(*runScratch); s != nil {
 		return s
 	}
 	return &runScratch{}
 }
 
-func (sp *scratchPool) put(s *runScratch) {
-	sp.outstanding.Add(-1)
+func (p *Prep) putScratch(s *runScratch) {
+	p.borrowed.Add(-1)
 	s.invalidate()
-	sp.p.Put(s)
+	arenas.Put(s)
 }
 
-// ScratchOutstanding reports how many reuse arenas are currently borrowed
-// from this Prep's pool (one per live Instance). Drivers that abandon a run
-// early must leave this at zero — a positive steady-state value means an
+// ScratchOutstanding reports how many reuse arenas instances on this Prep
+// currently hold (one per live Instance). Drivers that abandon a run early
+// must leave this at zero — a positive steady-state value means an
 // Instance was never Finished and its arena leaked. Test hook; not needed
 // for normal operation.
-func (p *Prep) ScratchOutstanding() int64 { return p.scratch.outstanding.Load() }
+func (p *Prep) ScratchOutstanding() int64 { return p.borrowed.Load() }

@@ -85,12 +85,12 @@ func NewInstanceCtx(ctx context.Context, g *hypergraph.Bipartite, opt Options) (
 		res: &Result{Kind: opt.Kind},
 		obs: opt.Observer,
 	}
-	// Borrow the reuse arena from the Prep's pool (returned by Finish) and
+	// Borrow a reuse arena from the process-wide pool (returned by Finish) and
 	// prebuild the two phase specs; Begin* only swaps frontier bitmaps in.
 	// The simulated system rides in the arena too: building the hierarchy
 	// (caches, directory, NoC, DRAM queues) dominates per-run allocation,
 	// and a Reset system replays bit-identically to a fresh one.
-	r.scratch = prep.scratch.get()
+	r.scratch = prep.getScratch()
 	if s := r.scratch.sys; s != nil && s.Cfg == opt.Sys {
 		s.Reset()
 		r.sys = s
@@ -171,7 +171,7 @@ func (in *Instance) BeginVertexComputation(frontierE, nextV bitset.Bitmap) *Step
 // instance's Result and returns it. State is left nil: the driver owns the
 // algorithm state (Run fills it in; the shard coordinator keeps one global
 // State for all shards). Finish also retires the instance's reuse arena
-// back to the Prep's pool — the last Step's marks and agents are invalid
+// back to the pool — the last Step's marks and agents are invalid
 // afterwards, so drivers must not Begin or Commit on a finished instance.
 func (in *Instance) Finish() *Result {
 	r := in.r
@@ -184,7 +184,7 @@ func (in *Instance) Finish() *Result {
 	res.FifoStallCycles = r.sys.FifoStallCycles
 	res.L1Hits, res.L1Misses, res.L2Hits, res.L2Misses, res.L3Hits, res.L3Misses = r.sys.Hier.CacheStats()
 	if r.scratch != nil {
-		r.prep.scratch.put(r.scratch)
+		r.prep.putScratch(r.scratch)
 		r.scratch = nil
 	}
 	return res

@@ -14,16 +14,10 @@ import (
 // accounting differs (the update charges its own work, which is the point).
 //
 // old must be the Prep built for d.Old; the api layer's artifact pairing
-// enforces this.
-//
-// Idle reuse arenas migrate from old's scratch pool to the new Prep's so
-// steady-state serve traffic stays allocation-free across artifact
-// versions. Migration goes through the pool's put, which invalidates the
-// arenas' chain memoization entries — the only sound granularity for "chains
-// affected by a mutation": chain schedules derive from the OAGs, and cache
-// validity never crosses runs anyway (see runScratch), so a post-mutation
-// run always regenerates chains from the updated OAGs. Arenas still
-// borrowed by in-flight runs on the old artifact simply retire with it.
+// enforces this. Reuse arenas need no hand-off: they come from one
+// process-wide pool, and chain cache validity never crosses runs (see
+// runScratch), so a post-mutation run regenerates chains from the updated
+// OAGs.
 func UpdatePrep(old *Prep, d *hypergraph.Delta) *Prep {
 	g := d.New
 	p := &Prep{
@@ -45,16 +39,5 @@ func UpdatePrep(old *Prep, d *hypergraph.Delta) *Prep {
 		OldChunks: old.VChunks, NewChunks: p.VChunks,
 	})
 
-	// Drain up to a handful of idle arenas into the new Prep's pool. Both
-	// sides bypass the counting scratchPool accessors: these arenas are
-	// idle, not borrowed, so neither pool's outstanding count may move.
-	for i := 0; i < 8; i++ {
-		s, _ := old.scratch.p.Get().(*runScratch)
-		if s == nil {
-			break
-		}
-		s.invalidate()
-		p.scratch.p.Put(s)
-	}
 	return p
 }

@@ -54,6 +54,25 @@ func zigzag(prev, v uint32) uint64 {
 	return uint64(delta<<1) ^ uint64(delta>>63)
 }
 
+// AppendDelta appends v as the zigzag LEB128 varint of its delta from prev:
+// the entry encoding of every packed incidence list, and of any other id
+// sequence that travels in this form (the dist /step source list).
+func AppendDelta(dst []byte, prev, v uint32) []byte {
+	return binary.AppendUvarint(dst, zigzag(prev, v))
+}
+
+// ReadDelta decodes one AppendDelta entry from the front of data against
+// prev. It returns the id as an int64, so a caller can range-check a
+// hostile value before narrowing it, and the bytes consumed, which is <= 0
+// when data holds no complete varint of at most 64 bits.
+func ReadDelta(data []byte, prev uint32) (id int64, n int) {
+	uz, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, n
+	}
+	return int64(prev) + (int64(uz>>1) ^ -int64(uz&1)), n
+}
+
 // packAdjacency encodes one CSR side. off is retained by reference; adj is
 // only read. A sizing pass first makes the payload allocation exact.
 func packAdjacency(off, adj []uint32) *PackedAdj {
@@ -80,7 +99,7 @@ func packAdjacency(off, adj []uint32) *PackedAdj {
 		}
 		var prev uint32
 		for _, v := range adj[off[i]:off[i+1]] {
-			p.data = binary.AppendUvarint(p.data, zigzag(prev, v))
+			p.data = AppendDelta(p.data, prev, v)
 			prev = v
 		}
 	}
@@ -431,17 +450,15 @@ func decodePackedSide(data []byte, n, maxID uint32) (off []uint32, p *PackedAdj,
 		}
 		var prev uint32
 		for k := off[i]; k < off[i+1]; k++ {
-			uz, w := binary.Uvarint(p.data[pos:])
+			id, w := ReadDelta(p.data[pos:], prev)
 			if w <= 0 {
 				return nil, nil, nil, fmt.Errorf("varint overruns payload or 64 bits in list %d", i)
 			}
 			pos += w
-			delta := int64(uz>>1) ^ -int64(uz&1)
-			id := int64(prev) + delta
 			if id < 0 || id >= int64(maxID) {
 				return nil, nil, nil, fmt.Errorf("entry %d of list %d out of range (%d, max %d)", entry, i, id, maxID)
 			}
-			if delta < 0 {
+			if id < int64(prev) {
 				p.sorted = false
 			}
 			prev = uint32(id)

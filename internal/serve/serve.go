@@ -349,14 +349,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(s.Metrics())
 }
 
+// maxRunBody bounds a /run body; a RunRequest is a few hundred bytes.
+const maxRunBody = 64 << 10
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes. It
+// answers 413 for a longer body and 400 for malformed JSON, and reports
+// whether v holds the request.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, maxRunBody, &req) {
 		return
 	}
 	if err := validate(&req); err != nil {
@@ -546,8 +565,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, s.opt.MaxUploadBytes, &req) {
 		return
 	}
 	spec := req.asRun()

@@ -406,6 +406,39 @@ func TestServeValidationAndMetrics(t *testing.T) {
 	}
 }
 
+// TestServeBoundsRequestBodies: /run reads at most maxRunBody bytes and
+// /mutate at most MaxUploadBytes, so one request cannot make the server
+// buffer a JSON string of any size; a longer body answers 413.
+func TestServeBoundsRequestBodies(t *testing.T) {
+	const upload = 4 << 10
+	ts := httptest.NewServer(NewServer(Options{Workers: 1, MaxUploadBytes: upload}))
+	defer ts.Close()
+	post := func(path, body string) int {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	long := func(n int) string { return `{"dataset":"` + strings.Repeat("a", n) + `"}` }
+	for _, tc := range []struct {
+		path string
+		body string
+		want int
+	}{
+		{"/run", long(maxRunBody), http.StatusRequestEntityTooLarge},
+		{"/run", long(maxRunBody / 2), http.StatusBadRequest}, // read whole: unknown dataset
+		{"/mutate", long(upload), http.StatusRequestEntityTooLarge},
+		{"/mutate", long(upload / 2), http.StatusBadRequest},
+	} {
+		if got := post(tc.path, tc.body); got != tc.want {
+			t.Fatalf("%s with a %d-byte body: status %d, want %d", tc.path, len(tc.body), got, tc.want)
+		}
+	}
+}
+
 func TestRunKeyExcludesHostKnobs(t *testing.T) {
 	a := RunRequest{Dataset: "OK", Algorithm: "PR", Engine: "chgraph", Workers: 1, IncludeValues: true}
 	b := a
