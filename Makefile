@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race perfbench-check bench bench-smoke bench-baseline benchgate mutate-smoke cover fuzz loadtest loadtest-smoke slogate slo-baseline dist-smoke
+.PHONY: tier1 build vet test race perfbench-check bench bench-smoke bench-baseline benchgate mutate-smoke cover fuzz loadtest loadtest-smoke slogate slo-baseline dist-smoke sloc
 
 # tier1 is the gate every change must pass: clean build, vet, and the full
 # test suite. The race detector runs as its own CI job (`make race`) so a
@@ -103,6 +103,13 @@ slo-baseline:
 # (see scripts/distsmoke.sh and DESIGN.md §16).
 dist-smoke:
 	sh scripts/distsmoke.sh
+
+# sloc prints the root module's source lines per package and in total
+# (non-test, non-generated Go; blank and comment-only lines not counted;
+# perfbench/ excluded), so simplification changes report before/after
+# counts from one command.
+sloc:
+	GO=$(GO) sh scripts/sloc.sh
 
 # cover enforces per-package statement-coverage floors (engine, obs,
 # hypergraph); see scripts/cover.sh for the thresholds.

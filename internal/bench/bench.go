@@ -285,8 +285,24 @@ func (s *Session) Run(rs RunSpec) *engine.Result {
 }
 
 // RunSharded simulates one cell through the shard coordinator (cached under
-// the same key space as Run; each shard preps its own sub-hypergraph).
+// the same key space as Run; each shard preps its own sub-hypergraph). One
+// shard is the unsharded run, so Shards <= 1 takes Run's cached Result and
+// adds the one-shard partition.
 func (s *Session) RunSharded(rs RunSpec) *shard.Result {
+	if rs.Shards <= 1 {
+		res := s.Run(rs)
+		pol := rs.ShardPolicy
+		if pol == "" {
+			pol = shard.PolicyRange
+		}
+		a, err := shard.Partition(s.Dataset(rs.Dataset), 1, pol, 0)
+		if err != nil {
+			panic(fmt.Sprintf("bench: %s: %v", rs.key(), err))
+		}
+		own := *res // the one shard's measurements, without the global State
+		own.State = nil
+		return a.Result(res, []*engine.Result{&own})
+	}
 	key := rs.key()
 	s.mu.Lock()
 	if r, ok := s.shardRuns[key]; ok {

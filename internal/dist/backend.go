@@ -31,7 +31,7 @@ const (
 	stageVCommitted              // vertex phase committed (pre-advance)
 )
 
-// remoteBackend drives one worker process through the shard.Backend
+// remoteBackend drives one worker process through the engine.Backend
 // contract. Crash safety rests on two facts: the coordinator owns the global
 // algorithm state (HF/VF outcomes are applied exactly once, worker crashes
 // notwithstanding), and everything the worker holds is a deterministic
@@ -66,8 +66,11 @@ type remoteBackend struct {
 	cur   hypergraph.AdjCursor
 	reply []byte
 
+	// next is the global vertex frontier the live vertex phase's
+	// activations go to (Begin(VertexPhase)).
+	next bitset.Bitmap
+
 	// Mirrors of worker-held results.
-	nextV     bitset.Bitmap
 	pre       uint64
 	edges     uint64
 	phases    int
@@ -77,8 +80,6 @@ type remoteBackend struct {
 	tap      obs.Observer // user observer; phase snapshots forwarded here
 	finished bool
 }
-
-func (b *remoteBackend) Shard() *shard.Shard { return b.sh }
 
 // url joins the worker base with an endpoint path.
 func (b *remoteBackend) url(path string) string { return b.base + path }
@@ -304,7 +305,7 @@ func (b *remoteBackend) stepRPC(ctx context.Context, phase int, frontier bitset.
 }
 
 // commitRPC commits a phase with the given resolutions, updating the
-// result mirrors (and the next-vertex frontier after vertex phases).
+// result mirrors.
 func (b *remoteBackend) commitRPC(ctx context.Context, phase int, res *resolutions) (uint64, error) {
 	hdr, err := json.Marshal(commitRequest{Session: b.session, Iter: b.iter, Phase: phase})
 	if err != nil {
@@ -316,18 +317,13 @@ func (b *remoteBackend) commitRPC(ctx context.Context, phase int, res *resolutio
 	if err != nil {
 		return 0, err
 	}
-	rhdr, payload, err := splitHeader(out)
+	rhdr, _, err := splitHeader(out)
 	if err != nil {
 		return 0, err
 	}
 	var rep commitReply
 	if err := json.Unmarshal(rhdr, &rep); err != nil {
 		return 0, fmt.Errorf("dist: bad commit reply: %w", err)
-	}
-	if phase == 1 {
-		if _, err := b.nextV.DecodeBinary(payload); err != nil {
-			return 0, err
-		}
 	}
 	b.edges = rep.EdgesProcessed
 	b.phases = rep.SimPhases
@@ -339,7 +335,7 @@ func (b *remoteBackend) commitRPC(ctx context.Context, phase int, res *resolutio
 	return rep.Cycles, nil
 }
 
-// --- shard.Backend implementation -------------------------------------------
+// --- engine.Backend implementation ------------------------------------------
 
 func (b *remoteBackend) ChargePreprocess(context.Context) (uint64, error) {
 	// Charged worker-side during the handshake (and re-charged on every
@@ -348,8 +344,8 @@ func (b *remoteBackend) ChargePreprocess(context.Context) (uint64, error) {
 	return b.pre, nil
 }
 
-func (b *remoteBackend) Begin(ctx context.Context, ph shard.Phase, frontierV bitset.Bitmap) error {
-	if ph == shard.HyperedgePhase {
+func (b *remoteBackend) Begin(ctx context.Context, ph engine.Phase, frontierV bitset.Bitmap) error {
+	if ph == engine.HyperedgePhase {
 		// Restrict the global vertex frontier to the shard and retain it:
 		// it seeds the current-iteration replay if the worker crashes.
 		if b.front == nil {
@@ -373,6 +369,7 @@ func (b *remoteBackend) Begin(ctx context.Context, ph shard.Phase, frontierV bit
 		b.stage = stageHBegun
 		return nil
 	}
+	b.next = frontierV
 	err := b.retry(ctx, "step(vertex)", func(ctx context.Context) error {
 		_, err := b.stepRPC(ctx, 1, nil)
 		return err
@@ -385,18 +382,28 @@ func (b *remoteBackend) Begin(ctx context.Context, ph shard.Phase, frontierV bit
 }
 
 // Drain expands each source into its incidence list in the coordinator's
-// copy of the shard graph — the marks the worker compiled, in order.
-func (b *remoteBackend) Drain(fn func(lsrc, ldst uint32) algorithms.EdgeResult) error {
+// copy of the shard graph — the marks the worker compiled, in order — and
+// maps them to global ids. A vertex phase's activated vertices go to the
+// global frontier: they are the vertices the worker's own next frontier
+// holds, so the worker need not ship it.
+func (b *remoteBackend) Drain(fn func(src, dst uint32) algorithms.EdgeResult) error {
 	phase, res := 0, &b.resH
+	srcs, dsts := b.sh.Vertices, b.sh.Hyperedges
 	if b.stage == stageVBegun {
 		phase, res = 1, &b.resV
+		srcs, dsts = b.sh.Hyperedges, b.sh.Vertices
 	}
 	_, _, adj := phaseSources(b.sh.G, phase)
 	res.reset()
 	b.cur.Bind(adj)
 	for _, src := range b.srcs {
+		gsrc := srcs[src]
 		for _, dst := range b.cur.List(src) {
-			res.add(fn(src, dst))
+			r := fn(gsrc, dsts[dst])
+			res.add(r)
+			if phase == 1 && r&algorithms.Activate != 0 {
+				b.next.Set(dsts[dst])
+			}
 		}
 	}
 	return nil
@@ -423,8 +430,6 @@ func (b *remoteBackend) Commit(ctx context.Context) (uint64, error) {
 	}
 	return cycles, nil
 }
-
-func (b *remoteBackend) NextVertexFrontier() bitset.Bitmap { return b.nextV }
 
 func (b *remoteBackend) AdvanceIteration(context.Context) error {
 	// The worker advances itself when it commits a vertex phase; the

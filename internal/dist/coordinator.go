@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"chgraph/internal/algorithms"
-	"chgraph/internal/bitset"
 	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/par"
@@ -100,15 +99,20 @@ func Run(g *hypergraph.Bipartite, alg algorithms.Algorithm, opt Options) (*shard
 
 // RunCtx partitions g one shard per worker, hands each worker its
 // sub-hypergraph in a handshake, and drives the same bulk-synchronous
-// frontier merge barrier as the in-process runtime (shard.RunBarrier) over
-// the HTTP transport. Crash-free runs produce Results bit-identical to
-// shard.RunCtx at the same K and policy; a run that recovered worker crashes
-// (Result.WorkerRestarts > 0) keeps exact algorithm state but its simulated
-// cycle counters reflect the restarted workers' cache-cold simulators
-// (DESIGN.md §16).
+// frontier merge barrier as the in-process runtime (engine.Drive, through
+// shard.Drive) over the HTTP transport. Crash-free runs produce Results
+// bit-identical to shard.RunCtx at the same K and policy; a run that
+// recovered worker crashes (Result.WorkerRestarts > 0) keeps exact
+// algorithm state but its simulated cycle counters reflect the restarted
+// workers' cache-cold simulators (DESIGN.md §16).
 func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorithm, opt Options) (*shard.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	userObs := opt.Engine.Observer
+	var hostStart time.Time
+	if userObs != nil {
+		hostStart = time.Now()
 	}
 	opt = opt.withDefaults()
 	k := len(opt.Workers)
@@ -127,12 +131,6 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 		workers = par.DefaultWorkers()
 	}
 	eo := opt.Engine.WithDefaults()
-
-	userObs := opt.Engine.Observer
-	var hostStart time.Time
-	if userObs != nil {
-		hostStart = time.Now()
-	}
 
 	a, err := shard.Partition(g, k, pol, 0)
 	if err != nil {
@@ -167,7 +165,6 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 			tap:       userObs,
 		}
 		b.graphBlob = hypergraph.AppendCompressed(nil, b.sh.G)
-		b.nextV = bitset.New(b.sh.G.NumVertices())
 		errs[i] = b.retry(ctx, "prepare", b.handshake)
 		rbs[i] = b
 	})
@@ -187,15 +184,10 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 		return nil, ferr
 	}
 	// The initial handshake is a join, not a recovery.
-	bks := make([]shard.Backend, k)
+	bks := make([]engine.Backend, k)
 	for i, rb := range rbs {
 		rb.restarts = 0
 		bks[i] = rb
 	}
-	return shard.RunBarrier(ctx, p, alg, bks, shard.BarrierOptions{
-		Workers:          workers,
-		ChargePreprocess: opt.Engine.ChargePreprocess,
-		Observer:         userObs,
-		HostStart:        hostStart,
-	})
+	return shard.Drive(ctx, g, a, alg, bks, opt.Engine, hostStart)
 }

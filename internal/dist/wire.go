@@ -1,7 +1,7 @@
 // Package dist is the distributed shard runtime: each shard of a
 // partitioned hypergraph runs in its own worker process (cmd/chgraph-worker)
 // and the coordinator drives the same bulk-synchronous frontier merge
-// barrier as the in-process runtime (shard.RunBarrier) over an HTTP
+// barrier as the in-process runtime (engine.Drive) over an HTTP
 // transport.
 //
 // Wire protocol (one coordinator, one worker per shard; the worker is a
@@ -16,9 +16,9 @@
 //	                response the phase's mark count and its sources.
 //	POST /commit    resolve + commit: the request carries 2 bits per mark
 //	                (Wrote, Activate), the response the phase's simulated
-//	                duration and — after vertex phases — the shard-local
-//	                next-vertex frontier bitmap for the coordinator's
-//	                OR-merge.
+//	                duration. The coordinator builds the global next-vertex
+//	                frontier from the Activate bits it sent, so no frontier
+//	                comes back.
 //	POST /finish    retire the engine and return its engine.Result.
 //	GET  /healthz   liveness + current session id.
 //
@@ -80,7 +80,7 @@ func (w wireOptions) engineOptions(workers int) (engine.Options, error) {
 // state it in the handshake and refuse a mismatch, so a worker and a
 // coordinator built from different versions fail cleanly at /prepare
 // instead of misreading each other's payloads.
-const wireVersion = 2
+const wireVersion = 3
 
 // prepareRequest is the /prepare JSON header; the request payload is the
 // shard's sub-hypergraph in the graph codec's encoding
@@ -133,8 +133,7 @@ type commitRequest struct {
 	Phase   int    `json:"phase"`
 }
 
-// commitReply is the /commit JSON header; after vertex phases the payload
-// is the shard-local next-vertex frontier bitmap.
+// commitReply is the /commit reply, a JSON header with no payload.
 type commitReply struct {
 	Cycles         uint64             `json:"cycles"`
 	EdgesProcessed uint64             `json:"edges_processed"`

@@ -61,7 +61,7 @@ type Worker struct {
 	iter     int
 	frontier bitset.Bitmap // incoming local vertex frontier (H phases)
 	nextE    bitset.Bitmap // hyperedge activations, held across the phase pair
-	nextV    bitset.Bitmap // vertex activations, shipped after V commits
+	nextV    bitset.Bitmap // vertex activations of the live vertex phase
 	cap      *capObs
 	pre      uint64
 
@@ -366,11 +366,6 @@ func (w *Worker) commit(body []byte) ([]byte, error) {
 		return nil, err
 	}
 	out := appendHeader(nil, hdrOut)
-	if req.Phase == 1 {
-		out = w.nextV.AppendBinary(out)
-	} else {
-		out = bitset.Bitmap(nil).AppendBinary(out)
-	}
 	w.lastIter, w.lastPhase, w.lastReply, w.hasLast = req.Iter, req.Phase, out, true
 	return out, nil
 }

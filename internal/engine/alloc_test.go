@@ -1,64 +1,60 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
 	"chgraph/internal/algorithms"
-	"chgraph/internal/bitset"
 )
 
-// TestSteadyStateIterationAllocs is the tentpole's acceptance gate: once an
-// instance is warm, driving a full iteration (both phases: compile, apply,
-// stitch, simulate) must not allocate at all with Workers=1. Every hot-path
-// buffer — chain sets, op streams, FIFO rings, agents, frontier bitmaps,
-// mark outcomes — lives in the instance's reuse arena.
+// iterationAllocs returns the allocations of run(12) minus those of
+// run(4): what eight more iterations cost a run. Each count is the fewest
+// any of ten runs made, on one P with GC off, so a run whose arena the pool
+// dropped (GC, or the race detector's random drops) or that reused an
+// arena for the first time does not count; an allocation made every
+// iteration still does.
+func iterationAllocs(run func(iters int)) int64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := func(iters int) int64 {
+		var ms runtime.MemStats
+		best := int64(math.MaxInt64)
+		for i := 0; i < 10; i++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			run(iters)
+			runtime.ReadMemStats(&ms)
+			best = min(best, int64(ms.Mallocs-before))
+		}
+		return best
+	}
+	return fewest(12) - fewest(4)
+}
+
+// TestSteadyStateIterationAllocs is the zero-allocation wall, measured
+// through RunCtx, the loop every run executes: with Workers=1 a PageRank
+// run of 12 iterations must allocate exactly as much as one of 4. Every
+// hot-path buffer — chain sets, op streams, FIFO rings, agents, frontier
+// bitmaps, mark outcomes — lives in the instance's reuse arena, and the
+// driver builds its closures once per run.
 func TestSteadyStateIterationAllocs(t *testing.T) {
 	g := smallHG(3)
 	prep := Prepare(g, 4, 1)
 	for _, kind := range allKinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			alg := algorithms.NewPageRank(1 << 20) // never self-terminates
 			opt := Options{Kind: kind, Sys: testSys(), Prep: prep, WMin: 1, Workers: 1}
-			in, err := NewInstance(g, opt)
-			if err != nil {
-				t.Fatal(err)
+			run := func(iters int) {
+				if _, err := RunCtx(context.Background(), g, algorithms.NewPageRank(iters), opt); err != nil {
+					t.Fatal(err)
+				}
 			}
-			defer in.Finish()
-
-			s := algorithms.NewState(g)
-			frontierV := bitset.New(g.NumVertices())
-			alg.Init(s, frontierV)
-			frontierE := bitset.New(g.NumHyperedges())
-			nextV := bitset.New(g.NumVertices())
-
-			iterate := func() {
-				alg.BeforeHyperedgePhase(s)
-				frontierE.Reset()
-				st := in.BeginHyperedgeComputation(frontierV, frontierE)
-				drainStep(st, s, alg.HF, frontierE)
-				st.Commit()
-
-				alg.BeforeVertexPhase(s)
-				nextV.Reset()
-				st = in.BeginVertexComputation(frontierE, nextV)
-				drainStep(st, s, alg.VF, nextV)
-				st.Commit()
-
-				s.Iter++
-				in.AdvanceIteration()
-				alg.AfterVertexPhase(s, nextV)
-				frontierV, nextV = nextV, frontierV
-			}
-
-			// Warm the arena: the first iterations size every buffer (and the
-			// second hits the §VI-B replay path on a stable frontier).
-			for i := 0; i < 3; i++ {
-				iterate()
-			}
-			if allocs := testing.AllocsPerRun(10, iterate); allocs != 0 {
-				t.Fatalf("steady-state iteration allocates %v objects, want 0", allocs)
+			if d := iterationAllocs(run); d != 0 {
+				t.Fatalf("8 more iterations allocate %d more objects, want 0", d)
 			}
 		})
 	}

@@ -301,133 +301,26 @@ func Run(g *hypergraph.Bipartite, alg algorithms.Algorithm, opt Options) (*Resul
 	return RunCtx(context.Background(), g, alg, opt)
 }
 
-// RunCtx is Run with cooperative cancellation. Cancellation is observed at
-// phase boundaries (and inside the parallel phase-compile workers, which stop
-// dispatching chunks): once ctx is done the engine abandons the iteration in
-// flight — no partially compiled phase is ever committed to the simulator or
-// allowed to mutate algorithm state — and returns ctx.Err(). A nil error
-// guarantees the Result is the same bit-identical output Run produces.
+// RunCtx is Run with cooperative cancellation. It opens one Instance on g
+// and runs it through Drive, the iteration driver sharded and distributed
+// runs share, as a single backend with no id maps. Cancellation is observed
+// at phase boundaries (and inside the parallel phase-compile workers, which
+// stop dispatching chunks): once ctx is done the run abandons the iteration
+// in flight — no partially compiled phase is ever committed to the
+// simulator or allowed to mutate algorithm state — and returns ctx.Err(). A
+// nil ctx never cancels. A nil error guarantees the Result is the same
+// bit-identical output Run produces.
 func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorithm, opt Options) (*Result, error) {
+	var hostStart time.Time
+	if opt.Observer != nil {
+		hostStart = time.Now()
+	}
 	in, err := NewInstanceCtx(ctx, g, opt)
 	if err != nil {
 		return nil, err
 	}
-	res, err := in.run(ctx, alg)
-	if err != nil {
-		in.Finish() // return the arena; a cancelled run's measurements are dropped
-		return nil, err
-	}
-	return res, nil
-}
-
-// run is RunCtx's iteration loop on an opened instance, which it Finishes
-// on success.
-func (in *Instance) run(ctx context.Context, alg algorithms.Algorithm) (*Result, error) {
-	g, r := in.g, in.r
-
-	var hostStart time.Time
-	if r.obs != nil {
-		hostStart = time.Now()
-	}
-
-	if r.opt.ChargePreprocess {
-		in.ChargePreprocess()
-	}
-
-	s := algorithms.NewState(g)
-	frontierV := bitset.New(g.NumVertices())
-	alg.Init(s, frontierV)
-	// The three frontier bitmaps are allocated once and recycled: the
-	// hyperedge frontier is zeroed at the top of each iteration, and the
-	// vertex frontiers double-buffer (the consumed one becomes the next
-	// iteration's scratch). Identical contents to the historical
-	// fresh-allocation per phase, without the per-iteration garbage.
-	frontierE := bitset.New(g.NumHyperedges())
-	nextV := bitset.New(g.NumVertices())
-
-	maxIter := alg.MaxIterations()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if frontierV.Count() == 0 {
-			break
-		}
-		if maxIter > 0 && s.Iter >= maxIter {
-			break
-		}
-		// Hyperedge computation: active vertices scatter via HF.
-		alg.BeforeHyperedgePhase(s)
-		frontierE.Reset()
-		st := in.BeginHyperedgeComputation(frontierV, frontierE)
-		if err := ctx.Err(); err != nil {
-			return nil, err // compile aborted; never drain or commit it
-		}
-		drainStep(st, s, alg.HF, frontierE)
-		st.Commit()
-
-		// Vertex computation: active hyperedges scatter via VF.
-		alg.BeforeVertexPhase(s)
-		nextV.Reset()
-		st = in.BeginVertexComputation(frontierE, nextV)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		drainStep(st, s, alg.VF, nextV)
-		st.Commit()
-
-		s.Iter++
-		in.AdvanceIteration()
-		done := alg.AfterVertexPhase(s, nextV)
-		frontierV, nextV = nextV, frontierV
-		if r.obs != nil {
-			r.obs.IterationDone(obs.IterationSnapshot{
-				Iteration:      r.res.Iterations - 1,
-				ActiveVertices: frontierV.Count(),
-				Cycles:         in.Elapsed(),
-				EdgesProcessed: r.res.EdgesProcessed,
-			})
-		}
-		if done {
-			break
-		}
-	}
-
-	res := in.Finish()
-	res.State = s
-	if r.obs != nil {
-		r.obs.RunDone(runSnapshot(res, alg.Name(), in.SimPhases(), time.Since(hostStart)))
-	}
-	return res, nil
-}
-
-// runSnapshot projects a final Result into the obs schema.
-func runSnapshot(res *Result, algName string, phases int, hostWall time.Duration) obs.RunSnapshot {
-	return obs.RunSnapshot{
-		Engine:           res.Kind.String(),
-		Algorithm:        algName,
-		Iterations:       res.Iterations,
-		Phases:           phases,
-		Cycles:           res.Cycles,
-		PreprocessCycles: res.PreprocessCycles,
-		MemReads:         res.MemReads,
-		MemWrites:        res.MemWrites,
-		CoreCycles:       res.CoreCycles,
-		MemStallCycles:   res.MemStallCycles,
-		FifoStallCycles:  res.FifoStallCycles,
-		L1Hits:           res.L1Hits,
-		L1Misses:         res.L1Misses,
-		L2Hits:           res.L2Hits,
-		L2Misses:         res.L2Misses,
-		L3Hits:           res.L3Hits,
-		L3Misses:         res.L3Misses,
-		EdgesProcessed:   res.EdgesProcessed,
-		ChainCount:       res.ChainCount,
-		ChainNodes:       res.ChainNodes,
-		ChainGenCount:    res.ChainGenCount,
-		ChainGenNodes:    res.ChainGenNodes,
-		HostWall:         hostWall,
-	}
+	res, _, err := Drive(ctx, g, alg, []Backend{NewLocalBackend(in, nil, nil)}, opt, hostStart)
+	return res, err
 }
 
 // phaseSpec describes one computation phase generically: "src" elements in

@@ -10,6 +10,31 @@ import (
 	"chgraph/internal/trace"
 )
 
+// edgeFunc applies the algorithm's HF or VF to bipartite edge (src, dst).
+type edgeFunc func(s *algorithms.State, src, dst uint32) algorithms.EdgeResult
+
+// drainStep applies fn to every mark of st in stream order, strictly
+// sequentially, maintaining the phase's destination frontier via
+// test-and-set: the apply pass Drive's local backend runs, for tests that
+// step an Instance by hand.
+func drainStep(st *Step, s *algorithms.State, fn edgeFunc, next bitset.Bitmap) {
+	n := st.NumMarks()
+	for i := 0; i < n; i++ {
+		src, dst := st.Mark(i)
+		res := fn(s, src, dst)
+		st.Resolve(i, res, res&algorithms.Activate != 0 && next.TestAndSet(dst))
+	}
+}
+
+// compilePhase compiles the phase end to end — compile streams, apply HF/VF
+// serially against s, stitch — and returns the finished agents without
+// simulating them, for op-stream inspection.
+func (r *runner) compilePhase(ph *phaseSpec, s *algorithms.State, apply edgeFunc) []*system.Agent {
+	st := r.beginStep(ph)
+	drainStep(st, s, apply, ph.next)
+	return st.stitch()
+}
+
 // buildPhase compiles one vertex-computation phase for inspection without
 // running the timing simulator.
 func buildPhase(t *testing.T, kind Kind, seed int64) []*system.Agent {

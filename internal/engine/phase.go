@@ -18,9 +18,6 @@ import (
 	"chgraph/internal/trace"
 )
 
-// edgeFunc applies the algorithm's HF or VF to bipartite edge (src, dst).
-type edgeFunc func(s *algorithms.State, src, dst uint32) algorithms.EdgeResult
-
 var lay trace.Layout
 
 // oagAddr maps an OAG element to an address, keeping the two sides' OAGs in
@@ -46,8 +43,8 @@ type runner struct {
 
 	// iter is the synchronous iteration the engine is in, advanced by
 	// Instance.AdvanceIteration. The engine holds no algorithm state: HF/VF
-	// are applied by whoever drives the Instance (engine.Run against its own
-	// State, the shard coordinator against the global one).
+	// are applied by whoever drives the Instance (Drive, against the one
+	// global State of a run).
 	iter int
 
 	// scratch is the reuse arena every per-phase buffer lives in,
@@ -362,17 +359,6 @@ func (r *runner) ensureScratch(n int) {
 	if r.compileBody == nil {
 		r.initBodies()
 	}
-}
-
-// compilePhase compiles the phase end to end — compile streams, apply HF/VF
-// serially against s, stitch — and returns the finished agents without
-// simulating them. It is the historical single-call compiler, retained for
-// op-stream tests; Run and the shard coordinator drive the same passes
-// through the Instance/Step API.
-func (r *runner) compilePhase(ph *phaseSpec, s *algorithms.State, apply edgeFunc) []*system.Agent {
-	st := r.beginStep(ph)
-	drainStep(st, s, apply, ph.next)
-	return st.stitch()
 }
 
 // stitchInto inserts each deferred application's ops (value write when the

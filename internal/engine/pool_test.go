@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"chgraph/internal/algorithms"
 	"chgraph/internal/hypergraph"
@@ -67,7 +68,7 @@ func TestArenaPoolAcrossShapes(t *testing.T) {
 		func() algorithms.Algorithm { return algorithms.NewPageRank(3) },
 	}
 	run := func(in *Instance, alg algorithms.Algorithm) *Result {
-		res, err := in.run(context.Background(), alg)
+		res, _, err := Drive(context.Background(), in.g, alg, []Backend{NewLocalBackend(in, nil, nil)}, in.Options(), time.Time{})
 		if err != nil {
 			t.Fatal(err)
 		}

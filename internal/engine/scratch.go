@@ -25,8 +25,9 @@ import (
 //     a private one.
 //   - Within a run, at most one Step is live per instance: beginStep rewrites
 //     the scratch wholesale, so a previous Step's marks, outcomes and agents
-//     are invalid the moment the next phase begins. engine.Run, the shard
-//     coordinator and compilePhase all satisfy this by construction.
+//     are invalid the moment the next phase begins. Drive (through its
+//     backends), the dist worker and the op-stream tests all satisfy this
+//     by construction.
 //   - Parallel compile fan-outs touch only cores[i] for chunk i (par.For
 //     dispatches every index to exactly one goroutine), so per-core scratch
 //     needs no locking.

@@ -21,11 +21,11 @@ import (
 // driver compiles a phase into op streams (BeginHyperedgeComputation /
 // BeginVertexComputation), applies the algorithm's HF/VF to the bipartite
 // edges the compiler discovered (Step.Mark / Step.Resolve) against whatever
-// State it owns, then stitches and simulates (Step.Commit). engine.Run is a
-// thin loop over one Instance; the shard coordinator in internal/shard opens
-// one Instance per shard and interleaves their apply passes at a
-// deterministic merge barrier, which is why the apply pass lives with the
-// driver and not inside the engine.
+// State it owns, then stitches and simulates (Step.Commit). Drive is the one
+// loop over Instances: RunCtx runs it over one Instance on the whole graph,
+// internal/shard over one Instance per shard, interleaving their apply
+// passes at a deterministic merge barrier, which is why the apply pass
+// lives with the driver and not inside the engine.
 type Instance struct {
 	g *hypergraph.Bipartite
 	r *runner
@@ -34,7 +34,7 @@ type Instance struct {
 // NewInstance validates opt against g and opens an instance: defaults
 // resolved, prep built (or validated) for the simulated core count, and a
 // fresh simulated system at cycle zero. The instance is exactly the state
-// engine.Run holds before its first iteration.
+// RunCtx hands Drive before the first iteration.
 func NewInstance(g *hypergraph.Bipartite, opt Options) (*Instance, error) {
 	return NewInstanceCtx(context.Background(), g, opt)
 }
@@ -139,9 +139,6 @@ func (in *Instance) AdvanceIteration() {
 	in.r.res.Iterations++
 }
 
-// Elapsed returns the simulated clock (including any charged preprocessing).
-func (in *Instance) Elapsed() uint64 { return in.r.sys.Elapsed() }
-
 // SimPhases returns the number of phases the simulator has replayed (empty
 // frontiers never reach the simulator and don't count).
 func (in *Instance) SimPhases() int { return in.r.sys.Phases }
@@ -169,10 +166,10 @@ func (in *Instance) BeginVertexComputation(frontierE, nextV bitset.Bitmap) *Step
 
 // Finish reads the final measurements off the simulated system into the
 // instance's Result and returns it. State is left nil: the driver owns the
-// algorithm state (Run fills it in; the shard coordinator keeps one global
-// State for all shards). Finish also retires the instance's reuse arena
-// back to the pool — the last Step's marks and agents are invalid
-// afterwards, so drivers must not Begin or Commit on a finished instance.
+// algorithm state (Drive keeps one global State for every backend). Finish
+// also retires the instance's reuse arena back to the pool — the last
+// Step's marks and agents are invalid afterwards, so drivers must not Begin
+// or Commit on a finished instance.
 func (in *Instance) Finish() *Result {
 	r := in.r
 	res := r.res
@@ -286,8 +283,9 @@ func (st *Step) Mark(i int) (src, dst uint32) {
 // Resolve records the i-th application's outcome: res is the EdgeResult the
 // algorithm returned, first whether this application activated dst for the
 // first time this phase in this instance's destination frontier. The driver
-// owns the frontier bitmap and its test-and-set discipline (Run and the
-// shard coordinator both pass res&Activate != 0 && next.TestAndSet(dst)).
+// owns the frontier bitmap and its test-and-set discipline (the local
+// backend and the dist worker both pass res&Activate != 0 &&
+// next.TestAndSet(dst)).
 func (st *Step) Resolve(i int, res algorithms.EdgeResult, first bool) {
 	c, j := st.locate(i)
 	st.outs[c][j] = edgeOutcome{res: res, first: res&algorithms.Activate != 0 && first}
@@ -354,16 +352,4 @@ func (st *Step) Commit() uint64 {
 		r.obs.PhaseDone(st.snap)
 	}
 	return dur
-}
-
-// drainStep is the engine's own mark driver (historical pass 2): apply fn to
-// every mark in stream order, strictly sequentially, maintaining the phase's
-// destination frontier via test-and-set.
-func drainStep(st *Step, s *algorithms.State, fn edgeFunc, next bitset.Bitmap) {
-	n := st.NumMarks()
-	for i := 0; i < n; i++ {
-		src, dst := st.Mark(i)
-		res := fn(s, src, dst)
-		st.Resolve(i, res, res&algorithms.Activate != 0 && next.TestAndSet(dst))
-	}
 }

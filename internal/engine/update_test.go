@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"chgraph/internal/algorithms"
-	"chgraph/internal/bitset"
 	"chgraph/internal/hypergraph"
 )
 
@@ -88,8 +87,8 @@ func TestUpdatePrepSteadyStateAllocs(t *testing.T) {
 	g := smallHG(3)
 	prep := Prepare(g, 4, 1)
 
-	// Cycle a run on the old artifact so its pool holds warm arenas for
-	// UpdatePrep to migrate.
+	// Cycle a run on the old artifact so the arena pool holds one warmed on
+	// the old graph.
 	if _, err := Run(g, algorithms.NewPageRank(3), Options{
 		Kind: ChGraph, Sys: testSys(), Prep: prep, WMin: 1, Workers: 1,
 	}); err != nil {
@@ -105,42 +104,13 @@ func TestUpdatePrepSteadyStateAllocs(t *testing.T) {
 	}
 	up := UpdatePrep(prep, d)
 
-	alg := algorithms.NewPageRank(1 << 20)
-	in, err := NewInstance(d.New, Options{Kind: ChGraph, Sys: testSys(), Prep: up, WMin: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	opt := Options{Kind: ChGraph, Sys: testSys(), Prep: up, WMin: 1, Workers: 1}
+	run := func(iters int) {
+		if _, err := Run(d.New, algorithms.NewPageRank(iters), opt); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer in.Finish()
-
-	s := algorithms.NewState(d.New)
-	frontierV := bitset.New(d.New.NumVertices())
-	alg.Init(s, frontierV)
-	frontierE := bitset.New(d.New.NumHyperedges())
-	nextV := bitset.New(d.New.NumVertices())
-
-	iterate := func() {
-		alg.BeforeHyperedgePhase(s)
-		frontierE.Reset()
-		st := in.BeginHyperedgeComputation(frontierV, frontierE)
-		drainStep(st, s, alg.HF, frontierE)
-		st.Commit()
-
-		alg.BeforeVertexPhase(s)
-		nextV.Reset()
-		st = in.BeginVertexComputation(frontierE, nextV)
-		drainStep(st, s, alg.VF, nextV)
-		st.Commit()
-
-		s.Iter++
-		in.AdvanceIteration()
-		alg.AfterVertexPhase(s, nextV)
-		frontierV, nextV = nextV, frontierV
-	}
-
-	for i := 0; i < 3; i++ {
-		iterate()
-	}
-	if allocs := testing.AllocsPerRun(10, iterate); allocs != 0 {
-		t.Fatalf("steady-state iteration on updated Prep allocates %v objects, want 0", allocs)
+	if n := iterationAllocs(run); n != 0 {
+		t.Fatalf("8 more iterations on updated Prep allocate %d more objects, want 0", n)
 	}
 }

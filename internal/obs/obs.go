@@ -160,6 +160,10 @@ type RunSnapshot struct {
 	ChainGenCount  uint64 `json:"chain_gen_count"`
 	ChainGenNodes  uint64 `json:"chain_gen_nodes"`
 
+	// HostWall is the run's host wall-clock time. Every runtime
+	// (engine.RunCtx, shard.RunCtx, dist.RunCtx) starts it on entry to
+	// RunCtx, so it includes on-demand Prep builds, partitioning, shard
+	// materialization and worker handshakes, and stops it as the run ends.
 	HostWall time.Duration `json:"host_wall_ns"`
 
 	// Generation tags the prepared-artifact version the run executed on: 0

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chgraph/internal/algorithms"
+	"chgraph/internal/engine"
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/obs"
 )
@@ -13,8 +14,8 @@ import (
 // Phase names used in logs, and that shardTap forwards only phase snapshots
 // (iteration and run snapshots are the coordinator's to emit, merged).
 func TestPhaseStringAndTapSuppression(t *testing.T) {
-	if HyperedgePhase.String() != "hyperedge" || VertexPhase.String() != "vertex" {
-		t.Fatalf("phase names %q/%q", HyperedgePhase, VertexPhase)
+	if engine.HyperedgePhase.String() != "hyperedge" || engine.VertexPhase.String() != "vertex" {
+		t.Fatalf("phase names %q/%q", engine.HyperedgePhase, engine.VertexPhase)
 	}
 	tl := obs.NewTimeline()
 	tap := &shardTap{shard: 2, inner: tl}

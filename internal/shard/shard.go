@@ -1,31 +1,33 @@
 // Package shard is the partitioning + scale-out layer: it splits a
 // hypergraph into K shards by hyperedge ownership (contiguous ranges or a
 // single-pass streaming greedy assigner), materializes per-shard
-// sub-hypergraphs with local↔global id maps, and runs one engine instance
-// per shard with a frontier merge barrier between phases.
+// sub-hypergraphs with local↔global id maps, and runs one in-process engine
+// backend per shard through engine.Drive, the iteration driver unsharded
+// and distributed runs share.
 //
-// Execution model. Each iteration runs the same two computation phases as
-// engine.Run, but split across shards:
+// Execution model. Each iteration runs the two computation phases every
+// run executes, split across shards:
 //
 //  1. every shard compiles its phase concurrently (engine.Instance /
 //     engine.Step expose the compiler without the apply pass);
-//  2. the coordinator drains all shards' HF/VF applications strictly
+//  2. the driver drains all shards' HF/VF applications strictly
 //     sequentially, shard-major, against ONE global algorithm state in the
 //     global id space — the apply order is a deterministic function of the
 //     partition alone, never of host scheduling;
 //  3. every shard stitches and replays its op streams on its own simulated
 //     system concurrently; the phase's merged simulated time is the maximum
 //     over shards (a barrier, as in any bulk-synchronous scale-out);
-//  4. after the vertex-computation phase the shard-local activations are
-//     OR-merged into the global next frontier, so a vertex activated on one
-//     shard is active on every shard that replicates it.
+//  4. the vertex-computation phase's shard-local activations are OR-merged
+//     into the global next frontier, so a vertex activated on one shard is
+//     active on every shard that replicates it.
 //
 // Because the drain applies HF/VF against the single global state in global
 // ids, replicated vertices cannot diverge (there is exactly one value per
-// vertex), algorithms observe global degrees, and K=1 reproduces the
-// unsharded engine bit for bit — op streams, timing and all. DESIGN.md §11
-// gives the full determinism contract, including which configurations are
-// exactly K-invariant.
+// vertex) and algorithms observe global degrees. K=1 runs one backend on the
+// global graph itself (no sub-hypergraph copy, no id maps), which is the
+// unsharded engine.RunCtx computation. DESIGN.md §11 gives the full
+// determinism contract, including which configurations are exactly
+// K-invariant.
 package shard
 
 import (
@@ -37,14 +39,12 @@ import (
 	"chgraph/internal/hypergraph"
 	"chgraph/internal/obs"
 	"chgraph/internal/par"
-	"chgraph/internal/trace"
 )
 
 // Options configures a sharded run.
 type Options struct {
 	// Shards is the shard count K (1..MaxShards; 0 and 1 both mean one
-	// shard, which is the unsharded computation executed through the shard
-	// machinery).
+	// shard, which runs the unsharded engine on the global graph).
 	Shards int
 	// Policy selects the partitioner (default PolicyRange).
 	Policy Policy
@@ -90,9 +90,10 @@ type Result struct {
 }
 
 // shardTap forwards a shard engine's phase snapshots to the user observer
-// tagged with the shard index. Iteration and run snapshots are suppressed:
-// the coordinator emits merged ones.
+// tagged with the shard index. Engines emit nothing else: iteration and run
+// snapshots come from the driver, merged.
 type shardTap struct {
+	obs.Null
 	shard int
 	inner obs.Observer
 }
@@ -101,8 +102,17 @@ func (t *shardTap) PhaseDone(s obs.PhaseSnapshot) {
 	s.Shard = t.shard
 	t.inner.PhaseDone(s)
 }
-func (t *shardTap) IterationDone(obs.IterationSnapshot) {}
-func (t *shardTap) RunDone(obs.RunSnapshot)             {}
+
+// runTap adds the partition to the driver's run snapshot.
+type runTap struct {
+	obs.Observer
+	a *Assignment
+}
+
+func (t runTap) RunDone(s obs.RunSnapshot) {
+	s.Shards, s.ReplicatedVertices, s.ReplicationFactor = t.a.K, t.a.ReplicatedVertices, t.a.ReplicationFactor()
+	t.Observer.RunDone(s)
+}
 
 // Run executes alg on g split across opt.Shards shards.
 func Run(g *hypergraph.Bipartite, alg algorithms.Algorithm, opt Options) (*Result, error) {
@@ -118,10 +128,12 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	k := opt.Shards
-	if k <= 0 {
-		k = 1
+	userObs := opt.Engine.Observer
+	var hostStart time.Time
+	if userObs != nil {
+		hostStart = time.Now()
 	}
+	k := max(opt.Shards, 1)
 	pol := opt.Policy
 	if pol == "" {
 		pol = PolicyRange
@@ -130,27 +142,29 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
 	}
+	// shards stays nil at K=1: the one backend runs on g itself.
 	var a *Assignment
-	var p *Partitioned
+	var shards []*Shard
 	if opt.Pre != nil {
 		if err := validatePre(opt.Pre, k, pol, opt.Engine.WithDefaults()); err != nil {
 			return nil, err
 		}
-		a, p = opt.Pre.P.Assign, opt.Pre.P
+		a = opt.Pre.P.Assign
+		if k > 1 {
+			shards = opt.Pre.P.Shards
+		}
 	} else {
 		var err error
 		if a, err = Partition(g, k, pol, 0); err != nil {
 			return nil, err
 		}
-		if p, err = Materialize(g, a, workers); err != nil {
-			return nil, err
+		if k > 1 {
+			p, err := Materialize(g, a, workers)
+			if err != nil {
+				return nil, err
+			}
+			shards = p.Shards
 		}
-	}
-
-	userObs := opt.Engine.Observer
-	var hostStart time.Time
-	if userObs != nil {
-		hostStart = time.Now()
 	}
 
 	// One in-process backend (engine instance) per shard, prepped
@@ -158,8 +172,8 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 	// out; shards are independent). On partial failure — one shard's engine
 	// rejects its options, or the context is cancelled mid-fan-out — every
 	// backend that did open is Closed so its scratch arena goes back to the
-	// pool; RunBarrier owns teardown once all backends exist.
-	lbs := make([]*localBackend, k)
+	// pool; Drive owns teardown once all backends exist.
+	bks := make([]engine.Backend, k)
 	errs := make([]error, k)
 	ferr := par.ForCtx(ctx, workers, k, func(i int) {
 		o := opt.Engine
@@ -171,7 +185,16 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 		if userObs != nil {
 			o.Observer = &shardTap{shard: i, inner: userObs}
 		}
-		lbs[i], errs[i] = newLocalBackend(ctx, p.Shards[i], o)
+		sg, vs, hs := g, []uint32(nil), []uint32(nil)
+		if shards != nil {
+			sg, vs, hs = shards[i].G, shards[i].Vertices, shards[i].Hyperedges
+		}
+		in, err := engine.NewInstanceCtx(ctx, sg, o)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		bks[i] = engine.NewLocalBackend(in, vs, hs)
 	})
 	for _, e := range errs {
 		if ferr == nil && e != nil {
@@ -179,61 +202,45 @@ func RunCtx(ctx context.Context, g *hypergraph.Bipartite, alg algorithms.Algorit
 		}
 	}
 	if ferr != nil {
-		for _, lb := range lbs {
-			if lb != nil {
-				lb.Close()
+		for _, bk := range bks {
+			if bk != nil {
+				bk.Close()
 			}
 		}
 		return nil, ferr
 	}
-	bks := make([]Backend, k)
-	for i, lb := range lbs {
-		bks[i] = lb
-	}
-	return RunBarrier(ctx, p, alg, bks, BarrierOptions{
-		Workers:          workers,
-		ChargePreprocess: opt.Engine.ChargePreprocess,
-		Observer:         userObs,
-		HostStart:        hostStart,
-	})
+	return Drive(ctx, g, a, alg, bks, opt.Engine, hostStart)
 }
 
-func maxOf(xs []uint64) uint64 {
-	var m uint64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
+// Drive runs alg on g over bks, one backend per shard of a, through
+// engine.Drive, and adds a's partition to the Result and the run snapshot.
+// RunCtx and dist.RunCtx share it; like engine.Drive it Closes every
+// backend on every path.
+func Drive(ctx context.Context, g *hypergraph.Bipartite, a *Assignment, alg algorithms.Algorithm, bks []engine.Backend, opt engine.Options, hostStart time.Time) (*Result, error) {
+	if opt.Observer != nil {
+		opt.Observer = runTap{Observer: opt.Observer, a: a}
 	}
-	return m
+	res, per, err := engine.Drive(ctx, g, alg, bks, opt, hostStart)
+	if err != nil {
+		return nil, err
+	}
+	out := a.Result(res, per)
+	for _, bk := range bks {
+		out.WorkerRestarts += bk.Restarts()
+	}
+	return out, nil
 }
 
-// mergeResults sums the per-shard measurement counters into one Result.
-// Cycles, PreprocessCycles, Iterations and State are set by the caller with
-// barrier-aware semantics.
-func mergeResults(per []*engine.Result) *engine.Result {
-	m := &engine.Result{Kind: per[0].Kind}
-	for _, r := range per {
-		for a := trace.Array(0); a < trace.NumArrays; a++ {
-			m.MemReads[a] += r.MemReads[a]
-			m.MemWrites[a] += r.MemWrites[a]
-			m.MemByPhase[0][a] += r.MemByPhase[0][a]
-			m.MemByPhase[1][a] += r.MemByPhase[1][a]
-		}
-		m.CoreCycles += r.CoreCycles
-		m.MemStallCycles += r.MemStallCycles
-		m.FifoStallCycles += r.FifoStallCycles
-		m.L1Hits += r.L1Hits
-		m.L1Misses += r.L1Misses
-		m.L2Hits += r.L2Hits
-		m.L2Misses += r.L2Misses
-		m.L3Hits += r.L3Hits
-		m.L3Misses += r.L3Misses
-		m.EdgesProcessed += r.EdgesProcessed
-		m.ChainCount += r.ChainCount
-		m.ChainNodes += r.ChainNodes
-		m.ChainGenCount += r.ChainGenCount
-		m.ChainGenNodes += r.ChainGenNodes
+// Result wraps res, the merged outcome of a run over a's shards whose
+// engines measured per, with a's partition.
+func (a *Assignment) Result(res *engine.Result, per []*engine.Result) *Result {
+	return &Result{
+		Result: res,
+		Shards: a.K, Policy: a.Policy,
+		ReplicatedVertices: a.ReplicatedVertices,
+		ReplicationFactor:  a.ReplicationFactor(),
+		ShardPins:          a.ShardPins,
+		ShardHyperedges:    a.ShardHyperedges,
+		PerShard:           per,
 	}
-	return m
 }
